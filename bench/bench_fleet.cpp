@@ -1,7 +1,6 @@
 // google-benchmark microbenchmarks for the fleet engine: end-to-end fleets
-// of 1 to 1M MPC clients over a shared bottleneck (serial and sharded
-// engine, see DESIGN.md §15), plus the SharedLink water-filling step in
-// isolation.
+// of 1 to 1M MPC clients over a shared bottleneck (DESIGN.md §15), plus the
+// SharedLink water-filling step in isolation.
 //
 // The fleet rows are a tracked perf trajectory next to the MPC solver: CI
 // emits machine-readable results with
@@ -10,11 +9,9 @@
 // and tools/bench_report.py renders them next to BENCH_mpc.json. The
 // events_per_s counter is the headline number — discrete events the engine
 // retires per wall-clock second — with sessions_per_s alongside. BM_FleetRun
-// takes (sessions, shards); shards=0 resolves PS360_THREADS / hardware
-// concurrency, and bench_guard --require-faster gates that the sharded 10k
-// row actually beats the serial one. The 1M row is registered for the
-// EXPERIMENTS.md §1M recipe but excluded from the CI filter (it needs
-// multiple GiB of RAM and minutes of wall clock).
+// takes the fleet size. The 1M row is registered for the EXPERIMENTS.md §1M
+// recipe but excluded from the CI filter (it needs multiple GiB of RAM and
+// minutes of wall clock).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -59,20 +56,14 @@ trace::NetworkTrace bench_link(std::size_t sessions) {
   return trace::synthesize_network_trace(config);
 }
 
-// (sessions, shards): shards=1 is the serial engine, 0 resolves like
-// sim::resolve_thread_count (PS360_THREADS, else hardware concurrency).
-// Output is bit-identical across the shard axis (the fleet_shard_test
-// battery enforces it), so the serial/sharded delta at equal sessions is
-// pure wall-clock speedup from speculative MPC solves.
+// Arg = sessions in the one fleet.
 void BM_FleetRun(benchmark::State& state) {
   const std::size_t sessions = static_cast<std::size_t>(state.range(0));
-  const std::size_t shards = static_cast<std::size_t>(state.range(1));
   const sim::VideoWorkload& workload = bench_workload();
   const trace::NetworkTrace link = bench_link(sessions);
   fleet::FleetConfig config;
   config.sessions = sessions;
   config.start_spread_s = 2.0;
-  config.shards = shards;
   std::uint64_t events = 0;
   for (auto _ : state) {
     const fleet::FleetResult result = fleet::run_fleet(workload, link, config);
@@ -93,14 +84,13 @@ void BM_FleetRun(benchmark::State& state) {
                              1, static_cast<std::uint64_t>(state.iterations()))));
 }
 BENCHMARK(BM_FleetRun)
-    ->Args({1, 1})
-    ->Args({8, 1})
-    ->Args({64, 1})
-    ->Args({1000, 1})
-    ->Args({10000, 1})
-    ->Args({10000, 0})
-    ->Args({100000, 0})
-    ->Args({1000000, 0})  // EXPERIMENTS.md recipe only; excluded from CI
+    ->Arg(1)
+    ->Arg(8)
+    ->Arg(64)
+    ->Arg(1000)
+    ->Arg(10000)
+    ->Arg(100000)
+    ->Arg(1000000)  // EXPERIMENTS.md recipe only; excluded from CI
     ->Unit(benchmark::kMillisecond);
 
 // Fleet-scale solver batching: the same fleet under a binding per-session
@@ -254,14 +244,10 @@ BENCHMARK(BM_FleetEdgeCache)
 // (the paper five plus GhoshLP/GhoshRobust/Pano) × both paper traces × both
 // default fault profiles × two small fleets, ranked into one report. This is
 // the end-to-end cost of a controller-zoo comparison run; cells_per_s is the
-// tracked rate (grid cells retired per wall-clock second). Arg = event-loop
-// shards per fleet — the report is bit-identical across the axis
-// (tests/tournament_test.cpp pins it), so the /1 → /4 delta is pure
-// wall-clock. Picked up by the CI BM_FleetRun|...|BM_Tournament filter and
-// bench_guard --require.
+// tracked rate (grid cells retired per wall-clock second). Picked up by the
+// CI BM_FleetRun|...|BM_Tournament filter and bench_guard --require.
 void BM_Tournament(benchmark::State& state) {
   sim::TournamentConfig config;
-  config.shards = static_cast<std::size_t>(state.range(0));
   config.fleet_sizes = {2, 3};     // --quick scale: shapes, not throughput
   config.video_duration_s = 10.0;  // keep each of the 64 cells snappy
   std::size_t cells = 0;
@@ -280,7 +266,7 @@ void BM_Tournament(benchmark::State& state) {
   state.counters["schemes"] = benchmark::Counter(
       static_cast<double>(sim::registered_schemes().size()));
 }
-BENCHMARK(BM_Tournament)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Tournament)->Unit(benchmark::kMillisecond);
 
 // The fair-share recompute in isolation: start/finish churn over a standing
 // pool of flows, exercising the O(flows) water-fill per event.

@@ -31,11 +31,6 @@
 // pays the origin round trip), then with a BYTES-sized cache — and prints
 // the hit rate, origin traffic, and the stall delta the cache buys.
 // `--zipf ALPHA` sets the catalog popularity skew (default 0.8).
-//
-// `--shards N` composes with every mode: it shards the event loop inside
-// each replication (N=0 resolves PS360_THREADS / hardware concurrency; see
-// DESIGN.md §15). Every number printed is bit-identical for any N — only
-// the wall clock moves.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -270,7 +265,6 @@ int main(int argc, char** argv) {
   bool plan_cache = false;
   double edge_cache_bytes = -1.0;
   double zipf_alpha = 0.8;
-  std::size_t shards = 1;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
       trace_path = argv[++i];
@@ -282,12 +276,10 @@ int main(int argc, char** argv) {
       edge_cache_bytes = std::atof(argv[++i]);
     } else if (std::strcmp(argv[i], "--zipf") == 0 && i + 1 < argc) {
       zipf_alpha = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      shards = static_cast<std::size_t>(std::atoi(argv[++i]));
     } else {
       std::fprintf(stderr,
                    "usage: %s [--trace PATH] [--faults] [--plan-cache] "
-                   "[--edge-cache BYTES] [--zipf ALPHA] [--shards N]\n",
+                   "[--edge-cache BYTES] [--zipf ALPHA]\n",
                    argv[0]);
       return 1;
     }
@@ -312,8 +304,6 @@ int main(int argc, char** argv) {
 
   fleet::FleetConfig base;
   base.start_spread_s = 2.0;
-  // In-replication event-loop sharding (bit-identical; wall clock only).
-  base.shards = shards;
 
   if (!trace_path.empty()) return run_traced(workload, base, options, trace_path);
   if (faults) return run_faulted(workload, base, options);

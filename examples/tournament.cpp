@@ -10,13 +10,9 @@
 //   --quick         tiny matrix (2/3-session fleets) for CI smoke runs
 //   --json PATH     also write the full report as JSON (render with
 //                   tools/tournament_report.py)
-//   --shards N      event-loop shards per fleet (0 = PS360_THREADS /
-//                   hardware); every number printed is bit-identical for
-//                   any N — only the wall clock moves
 //   --schemes A,B   enter only the named schemes (registry names, e.g.
 //                   Ours,Ctile,GhoshLP)
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -54,13 +50,11 @@ int main(int argc, char** argv) {
       quick = true;
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      config.shards = static_cast<std::size_t>(std::atoi(argv[++i]));
     } else if (std::strcmp(argv[i], "--schemes") == 0 && i + 1 < argc) {
       config.schemes = parse_schemes(argv[++i]);
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--quick] [--json PATH] [--shards N] "
+                   "usage: %s [--quick] [--json PATH] "
                    "[--schemes A,B,...]\n",
                    argv[0]);
       return 1;
@@ -90,8 +84,8 @@ int main(int argc, char** argv) {
   }
   std::printf("\nrE/rQ/rS: mean per-group rank on energy / QoE / stall "
               "(1 = best); borda = rE + rQ + rS.\n");
-  std::printf("Same seed, any --shards, any PS360_THREADS: every number above "
-              "is bit-identical.\n");
+  std::printf("Same seed, any PS360_THREADS: every number above is "
+              "bit-identical.\n");
 
   if (!json_path.empty()) {
     std::ofstream out(json_path);

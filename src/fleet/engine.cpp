@@ -1,19 +1,15 @@
-// Fleet engine implementation: a sharded event loop drives N StreamingClients
-// against one SharedLink. The coordinator thread owns every shared resource
-// (links, caches, observability, the event heaps) and processes events in
-// global (t, session, seq) order; shard workers only run speculative
-// per-session MPC solves during each session's Eq. 6 wait. Only the earliest
-// completion is ever scheduled; stale predictions are discarded by
-// generation tag.
+// Fleet engine implementation: one event loop drives N StreamingClients
+// against one SharedLink, processing events in (t, session, seq) order on
+// the calling thread. Only the earliest completion is ever scheduled; stale
+// predictions are discarded by generation tag.
 #include "fleet/engine.h"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <optional>
 
-#include "fleet/shard.h"
 #include "sim/client.h"
-#include "sim/experiment.h"
 #include "trace/fault_schedule.h"
 #include "util/check.h"
 #include "util/units.h"
@@ -41,13 +37,9 @@ constexpr double kOriginTraceHorizonS = 1e9;
 struct SessionRuntime {
   std::unique_ptr<sim::SessionAccountant> accountant;
   std::unique_ptr<sim::StreamingClient> client;
-  // The request planned for the next flow, in flight or waiting. Filled at
-  // the kFlowStart event (just-in-time or by joining the speculative solve).
+  // The request planned for the next flow, in flight or waiting. Filled by
+  // finish_plan() when the attempt cycle's first kFlowStart event fires.
   std::optional<sim::ClientRequest> pending;
-  // Landing slot for the speculative finish_plan() result. Written by the
-  // owning shard worker, moved into `pending` by the coordinator after
-  // SolvePool::wait — which is the release/acquire edge making it visible.
-  std::optional<sim::ClientRequest> speculative;
   double flow_started_at = 0.0;
   double start_s = 0.0;
   double finish_s = 0.0;
@@ -110,31 +102,34 @@ FleetMetrics FleetResult::metrics(double segment_seconds) const {
   return m;
 }
 
-std::size_t recommended_reserve_events(const FleetConfig& config,
-                                       std::size_t shards) {
+std::size_t recommended_reserve_events(const FleetConfig& config) {
   PS360_CHECK(config.sessions >= 1);
-  PS360_CHECK(shards >= 1);
   // Residents per session, bounded by feature rather than fleet size: the
   // pending session-start/flow-start event, the live completion prediction,
   // and a short tail of stale predictions that drain as they pop. Faults are
   // the heavy case — every attempt leaves its deadline event resident for
   // timeout_s after the flow resolves, so startup bursts (back-to-back
-  // downloads while the buffer fills) park tens of stale deadlines at once,
-  // and a per-shard heap cannot average that across the whole fleet the way
-  // a single heap does. Constants carry ~2x headroom over the worst
-  // per-shard peaks measured across the 200-config differential battery
-  // (FleetShardTest.ReserveFormulaCoversMeasuredPeaks pins growth at zero).
+  // downloads while the buffer fills) park tens of stale deadlines at once.
+  // The constants carry at least 2x headroom over measured peaks
+  // (FleetEngineTest.ReserveFormulaCoversMeasuredPeaks pins growth at zero).
+  // The +64 tail also holds the one resident capacity-change breakpoint.
   const std::size_t per_session = (config.session.faults.enabled ? 32 : 8) +
                                   (config.server.enabled ? 4 : 0);
-  const std::size_t sessions_per_shard = (config.sessions + shards - 1) / shards;
-  return per_session * sessions_per_shard + 64;
+  return per_session * config.sessions + 64;
 }
 
 FleetResult run_fleet(const sim::VideoWorkload& workload,
                       const trace::NetworkTrace& link_trace,
                       const FleetConfig& config) {
   PS360_CHECK(config.sessions >= 1);
-  PS360_CHECK(config.start_spread_s >= 0.0);
+  PS360_CHECK_MSG(std::isfinite(config.start_spread_s) &&
+                      config.start_spread_s >= 0.0,
+                  "start_spread_s must be finite and >= 0");
+  PS360_CHECK_MSG(std::isfinite(config.access_cap_mbps),
+                  "access_cap_mbps must be finite (<= 0 disables the cap)");
+  PS360_CHECK_MSG(config.shards == 1,
+                  "FleetConfig::shards is deprecated and must be 1; "
+                  "parallelize with FleetRunOptions::threads");
   PS360_CHECK(workload.test_user_count() > 0);
 
   const std::size_t n = config.sessions;
@@ -206,31 +201,9 @@ FleetResult run_fleet(const sim::VideoWorkload& workload,
         workload.test_trace(test_user));
   }
 
-  // Shard resolution: 0 = PS360_THREADS override / hardware concurrency,
-  // never more shards than sessions. Purely a wall-clock knob — results are
-  // bit-identical for every value (the fleet_shard differential battery).
-  const std::size_t shards = std::max<std::size_t>(
-      std::min(config.shards != 0 ? config.shards : sim::resolve_thread_count(0),
-               n),
-      1);
-  // Link-wide events are only the single resident capacity-change breakpoint.
-  ShardedEventLoop loop(shards, recommended_reserve_events(config, shards), 16);
+  EventLoop loop(recommended_reserve_events(config));
   SharedLink link(link_trace, n);
   FleetStats stats;
-
-  // Speculative solving requires finish_plan() to stay a pure function of
-  // session-local state: an attached observer (solver emissions must land in
-  // global event order) or a shared plan cache (lookups mutate cross-session
-  // state) forces plans to be solved just-in-time on the coordinator instead
-  // — bit-identical results either way, since the solve's inputs are frozen
-  // at begin_plan() time.
-  const bool speculative =
-      shards > 1 && config.observer == nullptr && !config.plan_cache;
-  std::optional<SolvePool> pool;
-  if (speculative)
-    pool.emplace(shards, n, [&sessions](std::size_t i) {
-      sessions[i].speculative = sessions[i].client->finish_plan();
-    });
 
   for (std::size_t i = 0; i < n; ++i) {
     util::Rng rng(util::derive_seed(config.seed, kStartJitterStream, i));
@@ -262,15 +235,12 @@ FleetResult run_fleet(const sim::VideoWorkload& workload,
   constexpr std::uint32_t kLinkTraceSession = 0xFFFFFFFFu;
 
   // Consume the session's Eq. 6 wait (begin_plan advances the client through
-  // it) and schedule the flow start; the plan itself is solved later — by the
-  // owning shard worker during the wait when speculation is on, or just-in-
-  // time when kFlowStart pops. Dispatching after schedule() keeps scheduling
-  // order identical for every shard count.
+  // it) and schedule the flow start. The plan itself is solved when
+  // kFlowStart pops, which fixes the global order of plan-cache lookups and
+  // observer emissions.
   const auto schedule_next_flow = [&](std::size_t i, double t) {
-    SessionRuntime& rt = sessions[i];
-    const double wait_s = rt.client->begin_plan();
+    const double wait_s = sessions[i].client->begin_plan();
     loop.schedule(t + wait_s, i, EventKind::kFlowStart);
-    if (pool) pool->dispatch(i);
   };
 
   const util::BytesPerSec access_cap(cap_bytes_per_s);
@@ -332,19 +302,9 @@ FleetResult run_fleet(const sim::VideoWorkload& workload,
 
       case EventKind::kFlowStart: {
         SessionRuntime& rt = sessions[event.session];
-        if (!rt.pending.has_value()) {
-          // First start of this attempt cycle: collect the plan — solved
-          // speculatively during the wait, or just-in-time right here.
-          // Retries re-enter with `pending` already set and skip this.
-          if (pool) {
-            pool->wait(event.session);
-            rt.pending = std::move(rt.speculative);
-            rt.speculative.reset();
-          } else {
-            rt.pending = rt.client->finish_plan();
-          }
-        }
-        PS360_ASSERT(rt.pending.has_value());
+        // First start of this attempt cycle: solve the plan. Retries
+        // re-enter with `pending` already set and skip this.
+        if (!rt.pending.has_value()) rt.pending = rt.client->finish_plan();
         if (rt.faults != nullptr) {
           const sim::RecoveryConfig& rc = rt.client->recovery();
           const std::size_t attempt = rt.client->attempts() + 1;

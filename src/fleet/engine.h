@@ -9,18 +9,12 @@
 // else's download time. This is the regime server-side rate-adaptation
 // schemes target and the single-client evaluation of the paper assumes away.
 //
-// Determinism: one ShardedEventLoop drives the whole fleet; ties break by
-// (time, session_id, sequence); the only randomness is the session start
-// stagger, keyed off (seed, session_id). Results are bit-identical for any
-// shard count and any PS360_THREADS (enforced by the differential battery in
-// tests/fleet_shard_test.cpp): every shared-resource mutation — link
-// water-fills, cache admissions, event scheduling, observability — runs on
-// the coordinator thread in global event order, and the only work that runs
-// on shard workers is the per-session MPC solve, a pure function of
-// session-local state frozen when its Eq. 6 wait began (see
-// sim::StreamingClient::begin_plan / finish_plan and DESIGN.md §15).
-// fleet::FleetRunner additionally fans independent replications out across
-// threads, orthogonal to in-replication sharding.
+// Determinism: one EventLoop drives the whole fleet on the calling thread;
+// ties break by (time, session_id, sequence); the only randomness is the
+// session start stagger, keyed off (seed, session_id). Parallelism lives one
+// level up: fleet::FleetRunner fans independent replications out across
+// threads, each a whole run_fleet call, so results are bit-identical for any
+// PS360_THREADS.
 #pragma once
 
 #include <vector>
@@ -89,26 +83,22 @@ struct FleetConfig {
   // run_fleet call, so FleetRunner results stay bit-identical for any
   // PS360_THREADS; provably inert when disabled.
   FleetServerConfig server;
-  // Event-loop shards inside this one replication (ROADMAP item 1). Sessions
-  // partition across per-shard event heaps (session % shards) and — when no
-  // observer or plan cache is attached — per-shard worker threads solve each
-  // session's MPC plan speculatively during its Eq. 6 wait. 1 (the default)
-  // is the serial engine; 0 resolves like sim::resolve_thread_count — the
-  // PS360_THREADS env override, else hardware concurrency. Output is
-  // bit-identical for every value: sharding changes wall-clock time, never
-  // results.
+  // Deprecated: in-replication sharding was removed (DESIGN.md §15), and
+  // run_fleet rejects any value but 1. Parallelism comes from
+  // FleetRunOptions::threads, which runs whole replications per worker. Kept
+  // only because perfbench/workloads.cpp assigns it; delete it with the next
+  // change to that benchmark.
   std::size_t shards = 1;
 };
 
-// The per-shard event-heap reservation run_fleet uses for a fleet of
-// `config.sessions` split across `shards` heaps, sized so heap growth stays
-// zero from 1 session to 1M: events resident per session are bounded by a
-// small per-feature constant (pending start/flow-start, the live completion
-// prediction, and stale predictions/deadlines that drain as they pop), NOT
-// by anything that grows with fleet size. Exposed so the regression tests
-// can pin both the zero-growth contract and the formula's linearity.
-std::size_t recommended_reserve_events(const FleetConfig& config,
-                                       std::size_t shards);
+// The event-heap reservation run_fleet uses for a fleet of
+// `config.sessions`, sized so heap growth stays zero from 1 session to 1M:
+// events resident per session are bounded by a small per-feature constant
+// (pending start/flow-start, the live completion prediction, and stale
+// predictions/deadlines that drain as they pop), NOT by anything that grows
+// with fleet size. Exposed so the regression tests can pin both the
+// zero-growth contract and the formula's linearity.
+std::size_t recommended_reserve_events(const FleetConfig& config);
 
 // Engine internals exposed for regression tests and capacity planning.
 struct FleetStats {

@@ -1,8 +1,6 @@
 // FleetRunner implementation: slot-per-replication results claimed through
 // one atomic counter, so aggregates are bit-identical for any worker count.
-// Each worker runs whole run_fleet calls; any in-replication sharding
-// (FleetConfig::shards) nests its own SolvePool threads inside the call and
-// joins them before the slot is written, so the two axes never interact.
+// Each worker runs whole run_fleet calls, which are single-threaded.
 #include "fleet/runner.h"
 
 #include <atomic>

@@ -8,14 +8,10 @@
 // bit-identical for any worker thread count (PS360_THREADS respected via
 // sim::resolve_thread_count).
 //
-// Two orthogonal parallelism axes compose here: this runner parallelizes
-// ACROSS replications (each worker owns whole run_fleet calls), while
-// FleetConfig::shards parallelizes WITHIN one replication (per-shard event
-// heaps plus speculative MPC solves, DESIGN.md §15). Both are
-// result-invariant, so any mix of `threads` × `shards` is bit-identical to
-// fully serial; oversubscription, not correctness, is the only reason to
-// prefer one axis — replications scale embarrassingly, so give this runner
-// the cores and leave shards at 1 unless a single giant fleet is the job.
+// This runner is the fleet's only parallelism axis: each worker owns whole
+// run_fleet calls, and each run_fleet is one serial event loop (DESIGN.md
+// §15). Replications share nothing mutable, so they scale embarrassingly;
+// give this runner the cores.
 #pragma once
 
 #include <vector>

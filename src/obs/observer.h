@@ -16,13 +16,9 @@
 //    time (tools/lint.py bans wall clocks here).
 //  * `metrics` and `tracer` are optional independently; either may be null.
 //  * A single Observer must only be fed from one thread. The fleet runner
-//    gives every replication a private Observer and merges in slot order.
-//    In-replication sharding (DESIGN.md §15) keeps the same single-writer
-//    discipline from the other side: with an observer attached the engine
-//    plans just-in-time on the coordinator instead of speculatively on
-//    shard workers, so every emission still happens on one thread, in
-//    global event order — the trace byte stream is shard-count invariant
-//    (pinned by the fleet_shard_test observer arms).
+//    gives every replication a private Observer and merges in slot order;
+//    inside a replication the engine is single-threaded, so every emission
+//    happens in global event order.
 #pragma once
 
 #include <cstdint>

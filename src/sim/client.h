@@ -94,15 +94,13 @@ class StreamingClient {
   // Equivalent to begin_plan() + finish_plan().
   std::optional<ClientRequest> plan_next();
 
-  // Two-phase planning, used by the sharded fleet engine. begin_plan()
-  // consumes the Eq. 6 wait — advancing the wall clock and draining the
-  // buffer — and returns that wait. finish_plan() then runs prediction,
-  // bandwidth estimation, and the scheme's MPC solve, and returns the
-  // request. finish_plan() reads only client-local state frozen at
-  // begin_plan() time, so the engine may run it just-in-time when the
-  // flow-start event fires or speculatively on a worker thread — the two
-  // executions are bit-identical. Requires !finished(); one finish_plan()
-  // must follow each begin_plan() before any other state transition.
+  // Two-phase planning, used by the fleet engine. begin_plan() consumes the
+  // Eq. 6 wait — advancing the wall clock and draining the buffer — and
+  // returns that wait, so the engine can schedule the flow-start event.
+  // finish_plan() then runs prediction, bandwidth estimation, and the
+  // scheme's MPC solve when that event fires, and returns the request.
+  // Requires !finished(); one finish_plan() must follow each begin_plan()
+  // before any other state transition.
   double begin_plan();
   ClientRequest finish_plan();
 

@@ -5,7 +5,7 @@
 // fleet engine, ranking uses stable sorts over ordered vectors with
 // enum-order tie-breaks, and to_json() emits fixed key order with
 // locale-free precision(17) floats — so the byte stream is identical for
-// any PS360_THREADS or shard count (pinned by tests/tournament_test.cpp).
+// any PS360_THREADS (pinned by tests/tournament_test.cpp).
 #include "sim/tournament.h"
 
 #include <algorithm>
@@ -138,7 +138,6 @@ TournamentReport run_tournament(const TournamentConfig& config) {
           fc.start_spread_s = config.start_spread_s;
           fc.session = config.session;
           fc.session.faults = profiles[fi].faults;
-          fc.shards = config.shards;
           const fleet::FleetResult result = run_fleet(workload, link, fc);
 
           TournamentCell cell;

@@ -9,12 +9,11 @@
 // (tournament seed, group indices) and never folds in the scheme.
 //
 // Determinism contract: run_tournament is a pure function of its config.
-// Each cell runs through fleet::run_fleet, which is bit-identical for any
-// shard count and any PS360_THREADS (DESIGN.md §15), and the ranking +
-// to_json() serialization are branch-free over ordered containers with
-// printf-free, precision(17) float formatting — so the full report byte
-// stream is reproducible across machines, thread counts, and shard counts
-// (pinned by tests/tournament_test.cpp).
+// Each cell runs through fleet::run_fleet, a serial deterministic event loop
+// (DESIGN.md §15), and the ranking + to_json() serialization are
+// branch-free over ordered containers with printf-free, precision(17) float
+// formatting — so the full report byte stream is reproducible across
+// machines and thread counts (pinned by tests/tournament_test.cpp).
 //
 // Compiled into ps360::fleet (it drives fleets; ps360::sim cannot link the
 // fleet engine), but lives in ps360::sim alongside the scheme registry it
@@ -52,9 +51,6 @@ struct TournamentConfig {
   // the same nominal contention level and size sweeps probe burstiness, not
   // starvation.
   std::vector<std::size_t> fleet_sizes = {4, 16};
-  // Event-loop shards per fleet (bit-identical for any value; wall clock
-  // only). 0 resolves PS360_THREADS / hardware concurrency.
-  std::size_t shards = 1;
   // Content: trace::test_videos()[video_index] trimmed to video_duration_s.
   std::size_t video_index = 1;
   double video_duration_s = 20.0;

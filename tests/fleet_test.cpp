@@ -1,13 +1,15 @@
 // Tests for the fleet subsystem: EventLoop ordering, SharedLink max-min
 // fairness (differential-tested against a brute-force fluid simulation),
 // fleet-of-one parity with simulate_session, thread-count invariance of the
-// replication runner, and the zero-allocation steady state of the event
-// queue.
+// replication runner, the zero-allocation steady state of the event queue,
+// and loud rejection of hostile fleet configs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "fleet/engine.h"
 #include "fleet/event_loop.h"
@@ -427,6 +429,101 @@ TEST(FleetEngineTest, EventQueueDoesNotGrowAtSteadyState) {
   EXPECT_EQ(fleet.stats.queue_grow_events, 0u);
   EXPECT_GT(fleet.stats.events, 0u);
   EXPECT_LE(fleet.stats.queue_peak, 8u * config.sessions + 64u);
+}
+
+// The 1M-session scaling prerequisite: the heap reservation from
+// recommended_reserve_events() must absorb the true event population, so
+// the hot loop never reallocates — for every feature mix.
+TEST(FleetEngineTest, ReserveFormulaCoversMeasuredPeaks) {
+  const FleetFixture fixture;
+  const auto traces = trace::make_paper_traces(/*seed=*/25, util::Seconds(300.0));
+  for (const bool faults : {false, true}) {
+    for (const bool server : {false, true}) {
+      FleetConfig config;
+      config.sessions = 64;
+      config.seed = 31;
+      config.session.faults.enabled = faults;
+      if (faults) {
+        config.session.faults.outage_spacing_s = 5.0;
+        config.session.faults.loss_probability = 0.2;
+        config.session.faults.spike_probability = 0.25;
+      }
+      config.server.enabled = server;
+      const FleetResult result =
+          run_fleet(*fixture.workload, traces.second, config);
+      SCOPED_TRACE("faults " + std::to_string(faults) + " server " +
+                   std::to_string(server));
+      EXPECT_EQ(result.stats.queue_grow_events, 0u);
+      EXPECT_LE(result.stats.queue_peak, recommended_reserve_events(config));
+    }
+  }
+}
+
+TEST(FleetEngineTest, ReserveFormulaScalesPerSession) {
+  FleetConfig config;
+  config.sessions = 1000;
+  // Baseline: 8 resident events per session plus a constant tail.
+  EXPECT_EQ(recommended_reserve_events(config), 8u * 1000u + 64u);
+  config.session.faults.enabled = true;
+  EXPECT_EQ(recommended_reserve_events(config), 32u * 1000u + 64u);
+  config.server.enabled = true;
+  EXPECT_EQ(recommended_reserve_events(config), 36u * 1000u + 64u);
+  config.session.faults.enabled = false;
+  EXPECT_EQ(recommended_reserve_events(config), 12u * 1000u + 64u);
+  // Linear in fleet size: a 1M-session fleet reserves per-session state only.
+  config.server.enabled = false;
+  config.sessions = 1'000'000;
+  EXPECT_EQ(recommended_reserve_events(config), 8u * 1'000'000u + 64u);
+}
+
+// Hostile configs fail loudly at the boundary instead of hanging or
+// silently running a different experiment.
+TEST(FleetEngineTest, RejectsNonFiniteStartSpread) {
+  const FleetFixture fixture;
+  const auto traces = trace::make_paper_traces(/*seed=*/5, util::Seconds(300.0));
+  FleetConfig config;
+  config.sessions = 2;
+  for (const double spread : {std::numeric_limits<double>::infinity(),
+                              std::numeric_limits<double>::quiet_NaN()}) {
+    config.start_spread_s = spread;
+    EXPECT_THROW(run_fleet(*fixture.workload, traces.second, config),
+                 std::invalid_argument)
+        << "start_spread_s " << spread;
+  }
+}
+
+TEST(FleetEngineTest, RejectsNonFiniteAccessCap) {
+  const FleetFixture fixture;
+  const auto traces = trace::make_paper_traces(/*seed=*/5, util::Seconds(300.0));
+  FleetConfig config;
+  config.sessions = 2;
+  for (const double cap : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    config.access_cap_mbps = cap;
+    EXPECT_THROW(run_fleet(*fixture.workload, traces.second, config),
+                 std::invalid_argument)
+        << "access_cap_mbps " << cap;
+  }
+}
+
+TEST(FleetEngineTest, RejectsDeprecatedShardCounts) {
+  const FleetFixture fixture;
+  const auto traces = trace::make_paper_traces(/*seed=*/5, util::Seconds(300.0));
+  FleetConfig config;
+  config.sessions = 2;
+  for (const std::size_t shards : {std::size_t{0}, std::size_t{4}}) {
+    config.shards = shards;
+    try {
+      (void)run_fleet(*fixture.workload, traces.second, config);
+      ADD_FAILURE() << "shards " << shards << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      // The message points at the parallelism axis that replaced sharding.
+      EXPECT_NE(std::string(e.what()).find("FleetRunOptions::threads"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(FleetEngineTest, ContentionStretchesDownloadsAndStalls) {

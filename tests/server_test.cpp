@@ -441,76 +441,5 @@ TEST(FleetServerTest, DisabledServerIsInertAndUnobservable) {
   EXPECT_EQ(result.metrics(1.0).cache_hit_rate, 0.0);
 }
 
-// ------------------------------------------- sharded engine × server tier
-
-// The edge cache is shared mutable state, so under sharding (DESIGN.md §15)
-// every admission, hit, and eviction still happens on the coordinator in
-// global event order. These cases pin that the cache's *telemetry* — not
-// just the session results — is identical for any shard count; a reordered
-// admission would flip hit/miss counts long before it moved a download time.
-// (Named FleetServerShard* so the TSan CI leg, which matches FleetServer,
-// runs the shard workers under the sanitizer against the server tier.)
-
-void expect_same_cache_outcome(const FleetResult& a, const FleetResult& b) {
-  EXPECT_EQ(a.stats.cache_hits, b.stats.cache_hits);
-  EXPECT_EQ(a.stats.cache_misses, b.stats.cache_misses);
-  EXPECT_EQ(a.stats.cache_evictions, b.stats.cache_evictions);
-  EXPECT_EQ(a.stats.cache_insertions, b.stats.cache_insertions);
-  EXPECT_EQ(a.stats.cache_entries, b.stats.cache_entries);
-  EXPECT_EQ(a.stats.cache_resident, b.stats.cache_resident);
-  EXPECT_EQ(a.stats.origin_flows, b.stats.origin_flows);
-  EXPECT_EQ(a.stats.origin_bytes, b.stats.origin_bytes);
-  EXPECT_EQ(a.stats.events, b.stats.events);
-  ASSERT_EQ(a.sessions.size(), b.sessions.size());
-  for (std::size_t i = 0; i < a.sessions.size(); ++i) {
-    EXPECT_EQ(a.sessions[i].video, b.sessions[i].video);
-    EXPECT_EQ(a.sessions[i].finish_s, b.sessions[i].finish_s);
-    EXPECT_EQ(a.sessions[i].result.total_bytes,
-              b.sessions[i].result.total_bytes);
-  }
-}
-
-TEST(FleetServerShardTest, CacheTelemetryIsShardCountInvariant) {
-  const auto traces = trace::make_paper_traces(/*seed=*/17, util::Seconds(300.0));
-  for (const server::EvictionPolicy policy :
-       {server::EvictionPolicy::kLru,
-        server::EvictionPolicy::kPopularityWeighted}) {
-    // Starve the cache so admissions continually evict: the eviction victim
-    // choice is where an order bug would surface first.
-    FleetConfig config = server_config(util::Bytes(512.0 * 1024.0));
-    config.sessions = 16;
-    config.server.policy = policy;
-    const FleetResult serial = run_fleet(test_workload(), traces.second, config);
-    EXPECT_GT(serial.stats.cache_evictions, 0u);
-    for (const std::size_t shards :
-         {std::size_t{2}, std::size_t{4}, std::size_t{16}}) {
-      SCOPED_TRACE("policy " + std::to_string(static_cast<int>(policy)) +
-                   " shards " + std::to_string(shards));
-      config.shards = shards;
-      const FleetResult sharded =
-          run_fleet(test_workload(), traces.second, config);
-      expect_same_cache_outcome(serial, sharded);
-    }
-  }
-}
-
-TEST(FleetServerShardTest, OriginOnlyTrafficIsShardCountInvariant) {
-  // Capacity zero: every request takes the miss path through the origin
-  // link, so this pins the origin-flow scheduling (kOriginStart /
-  // kOriginCompletion) across the per-shard heaps.
-  const auto traces = trace::make_paper_traces(/*seed=*/19, util::Seconds(300.0));
-  FleetConfig config = server_config(util::Bytes(0.0));
-  config.sessions = 12;
-  const FleetResult serial = run_fleet(test_workload(), traces.second, config);
-  EXPECT_GT(serial.stats.origin_flows, 0u);
-  EXPECT_EQ(serial.stats.cache_hits, 0u);
-  for (const std::size_t shards : {std::size_t{3}, std::size_t{8}}) {
-    SCOPED_TRACE("shards " + std::to_string(shards));
-    config.shards = shards;
-    const FleetResult sharded = run_fleet(test_workload(), traces.second, config);
-    expect_same_cache_outcome(serial, sharded);
-  }
-}
-
 }  // namespace
 }  // namespace ps360::fleet

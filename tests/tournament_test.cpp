@@ -13,8 +13,8 @@
 //    receives the controller's solve counters — forwarding is neither
 //    results-altering nor silently dropped.
 //  * Tournament determinism: same seed => byte-identical ranked report
-//    across PS360_THREADS in {1, 4, hw} and shards in {0, 1, 4}; report
-//    shape, rank permutation, and borda arithmetic hold.
+//    across PS360_THREADS in {1, 4, hw}; report shape, rank permutation,
+//    and borda arithmetic hold.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -314,7 +314,9 @@ TEST(TournamentTest, ReportShapeRanksAndBorda) {
     EXPECT_DOUBLE_EQ(s.borda, s.energy_rank + s.qoe_rank + s.stall_rank);
     EXPECT_GE(s.energy_rank, 1.0);
     EXPECT_LE(s.energy_rank, static_cast<double>(n));
-    if (i > 0) EXPECT_GE(s.borda, prev_borda);
+    if (i > 0) {
+      EXPECT_GE(s.borda, prev_borda);
+    }
     prev_borda = s.borda;
     EXPECT_GT(s.mean_energy_mj, 0.0);
     EXPECT_GE(s.mean_stall_ratio, 0.0);
@@ -334,26 +336,20 @@ TEST(TournamentTest, ReportShapeRanksAndBorda) {
   }
 }
 
-TEST(TournamentTest, ByteIdenticalAcrossThreadAndShardCounts) {
-  TournamentConfig config = tiny_tournament();
+TEST(TournamentTest, ByteIdenticalAcrossThreadCounts) {
+  const TournamentConfig config = tiny_tournament();
   std::string baseline;
   {
     const ScopedThreadsEnv env("1");
-    config.shards = 1;
     baseline = run_tournament(config).to_json();
   }
   ASSERT_FALSE(baseline.empty());
 
-  const char* thread_arms[] = {"1", "4", nullptr};  // nullptr = hardware
-  const std::size_t shard_arms[] = {0, 4};          // 0 resolves threads env
+  const char* thread_arms[] = {"4", nullptr};  // nullptr = hardware
   for (const char* threads : thread_arms) {
-    for (const std::size_t shards : shard_arms) {
-      const ScopedThreadsEnv env(threads);
-      config.shards = shards;
-      EXPECT_EQ(run_tournament(config).to_json(), baseline)
-          << "threads=" << (threads != nullptr ? threads : "hw")
-          << " shards=" << shards;
-    }
+    const ScopedThreadsEnv env(threads);
+    EXPECT_EQ(run_tournament(config).to_json(), baseline)
+        << "threads=" << (threads != nullptr ? threads : "hw");
   }
 }
 

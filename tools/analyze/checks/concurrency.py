@@ -1,9 +1,9 @@
 """Concurrency discipline for threaded translation units.
 
 A file is "threaded" when it mentions std::thread / std::jthread (today:
-src/fleet/runner.cpp, src/sim/experiment.cpp, and the sharded fleet
-engine's solve pool in src/fleet/shard.h/.cpp — the per-shard worker
-threads behind DESIGN.md §15). Inside threaded files:
+src/fleet/runner.cpp and src/sim/experiment.cpp, the two worker pools that
+fan independent replications and grid cells out across threads; the fleet
+engine itself is single-threaded, DESIGN.md §15). Inside threaded files:
 
   conc-sync-comment      every std::atomic / std::mutex /
                          std::condition_variable declaration carries a

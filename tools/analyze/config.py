@@ -23,12 +23,11 @@ RNG_EXEMPT = ("src/util/rng.h", "src/util/rng.cpp")
 # across reruns, schemes, and PS360_THREADS. The fleet engine, the
 # observability layer, the trace/fault synthesis layer, the server/CDN tier
 # (Zipf catalog + edge cache, one instance per replication slot), and the
-# simulation core are all inside the discipline (ROADMAP item 1 puts sharded
-# event-loop code here next). src/sim covers the controller registry, the
-# competitor schemes (competitors.cpp), and the tournament harness
-# (tournament.cpp — compiled into ps360::fleet but living here), whose ranked
-# report promises byte-identical JSON for any thread/shard count. Individual
-# files join too: the MPC plan cache promises cache-on == cache-off
+# simulation core are all inside the discipline. src/sim covers the
+# controller registry, the competitor schemes (competitors.cpp), and the
+# tournament harness (tournament.cpp — compiled into ps360::fleet but living
+# here), whose ranked report promises byte-identical JSON for any thread
+# count. Individual files join too: the MPC plan cache promises cache-on == cache-off
 # bit-identicality, so its internals (no unordered containers, no wall
 # clock) are part of the same contract.
 DETERMINISTIC_DIRS = ("src/fleet", "src/obs", "src/trace", "src/sim",

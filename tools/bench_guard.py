@@ -24,14 +24,6 @@ the run fails unless NAME was matched — present in both the current run and
 the baseline — in at least one pair. Use it for benchmarks the gate must
 actually cover — without it, a renamed or silently dropped benchmark
 degrades into an ignored "new"/"retired" note and the gate stops gating it.
-
---require-faster FAST=SLOW (repeatable) asserts an ordering *within the
-current run*: the run fails unless both names are present in the current
-side of some pair and real_time(FAST) < real_time(SLOW). This gates
-speedups that must hold on the runner itself regardless of baseline drift —
-e.g. the sharded fleet engine beating the serial engine at equal fleet size
-(BM_FleetRun/10000/0 vs BM_FleetRun/10000/1). Both rows come from the same
-process on the same machine, so no cross-run tolerance applies.
 """
 
 from __future__ import annotations
@@ -44,13 +36,11 @@ from bench_report import fmt_time, load_benchmarks
 
 
 def guard(current_path: pathlib.Path, baseline_path: pathlib.Path,
-          tolerance: float, matched_out: set[str],
-          current_out: dict[str, float]) -> int:
+          tolerance: float, matched_out: set[str]) -> int:
     current = load_benchmarks(current_path)
     baseline = load_benchmarks(baseline_path)
     matched = sorted(set(current) & set(baseline))
     matched_out.update(matched)
-    current_out.update(current)
     if not matched:
         print(f"bench_guard.py: {current_path} and {baseline_path} share no "
               f"benchmark names; wrong pair?", file=sys.stderr)
@@ -84,24 +74,19 @@ def main(argv: list[str] | None = None) -> int:
                         metavar="NAME",
                         help="fail unless NAME is matched in at least one "
                              "pair (repeatable)")
-    parser.add_argument("--require-faster", action="append", default=[],
-                        metavar="FAST=SLOW",
-                        help="fail unless real_time(FAST) < real_time(SLOW) "
-                             "in the current run (repeatable)")
     args = parser.parse_args(argv)
     if args.tolerance <= 1.0:
         parser.error("--tolerance must be > 1.0")
 
     status = 0
     matched: set[str] = set()
-    current_times: dict[str, float] = {}
     for pair in args.pairs:
         head, sep, tail = pair.partition("=")
         if not sep or not head or not tail:
             parser.error(f"expected CURRENT=BASELINE, got '{pair}'")
         try:
             status |= guard(pathlib.Path(head), pathlib.Path(tail),
-                            args.tolerance, matched, current_times)
+                            args.tolerance, matched)
         except (OSError, ValueError, KeyError) as err:
             print(f"bench_guard.py: cannot read pair '{pair}': {err}",
                   file=sys.stderr)
@@ -110,25 +95,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"bench_guard.py: MISSING required benchmark '{name}' "
               f"(not matched in any pair)", file=sys.stderr)
         status = 1
-    for ordering in args.require_faster:
-        fast, sep, slow = ordering.partition("=")
-        if not sep or not fast or not slow:
-            parser.error(f"expected FAST=SLOW, got '{ordering}'")
-        missing = [n for n in (fast, slow) if n not in current_times]
-        if missing:
-            print(f"bench_guard.py: MISSING benchmark(s) {missing} for "
-                  f"ordering '{ordering}'", file=sys.stderr)
-            status = 1
-            continue
-        if current_times[fast] < current_times[slow]:
-            print(f"    faster ok  {fast}: {fmt_time(current_times[fast])} < "
-                  f"{slow}: {fmt_time(current_times[slow])}")
-        else:
-            print(f"bench_guard.py: ORDERING VIOLATION: {fast} "
-                  f"({fmt_time(current_times[fast])}) is not faster than "
-                  f"{slow} ({fmt_time(current_times[slow])})",
-                  file=sys.stderr)
-            status = 1
     return status
 
 

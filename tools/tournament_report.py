@@ -13,7 +13,7 @@ Outputs:
     environments that produced it.
   * --csv OUT.csv: the standings as CSV for spreadsheets/plots.
 
-The report is deterministic (same seed, any thread/shard count -> identical
+The report is deterministic (same seed, any thread count -> identical
 bytes), so diffing two JSON files is a meaningful regression check.
 """
 
