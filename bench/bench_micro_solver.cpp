@@ -1,11 +1,12 @@
 // google-benchmark microbenchmarks for the hot algorithmic pieces: the MPC
-// dynamic program (O(H V F) per decision, Section IV-C), Algorithm 1
-// clustering, the ridge-regression viewport predictor, and the encoding
-// model.
+// dynamic program (O(H V F) per decision, Section IV-C), whole-plan horizon
+// construction per controller, Algorithm 1 clustering, the ridge-regression
+// viewport predictor, and the encoding model.
 //
-// The MPC rows are the repo's tracked perf trajectory: CI (and any local
-// run) emits machine-readable results with
-//   bench_micro_solver --benchmark_filter=BM_Mpc --benchmark_min_time=0.05
+// The MPC and plan-horizon rows are the repo's tracked perf trajectory: CI
+// (and any local run) emits machine-readable results with
+//   bench_micro_solver --benchmark_filter='BM_Mpc|BM_PlanHorizon'
+//     --benchmark_min_time=0.05
 //     --benchmark_out=BENCH_mpc.json --benchmark_out_format=json
 // and tools/bench_report.py renders the summary/speedup table against the
 // committed snapshots in bench/results/. Pin PS360_THREADS=1 when an eval
@@ -19,7 +20,9 @@
 #include "obs/tracer.h"
 #include "predict/viewport_predictor.h"
 #include "ptile/clusterer.h"
+#include "sim/accounting.h"
 #include "trace/head_synth.h"
+#include "trace/video_catalog.h"
 #include "util/rng.h"
 #include "video/encoding.h"
 
@@ -130,6 +133,36 @@ void BM_MpcDecideQoeMax(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MpcDecideQoeMax)->Arg(5)->Arg(10);
+
+// One Scheme::plan per iteration — horizon construction (segment sizes from
+// the encoding manifest, predicted Qo) plus the MPC solve — on the 20 s clip
+// of test video 2, cycling through its segments with the test user's true
+// viewport as the prediction. Rows: BM_PlanHorizon/<scheme>.
+void BM_PlanHorizon(benchmark::State& state, sim::SchemeKind kind) {
+  static const sim::VideoWorkload workload = [] {
+    trace::VideoInfo video = trace::test_videos()[1];
+    video.duration_s = 20.0;
+    return sim::VideoWorkload(video, sim::WorkloadConfig{});
+  }();
+  (void)workload.ftile(0);  // build the lazy layouts outside the timed loop
+  const sim::SessionConfig config;
+  const sim::SessionAccountant accountant(workload, 0, kind, config);
+  const sim::Scheme& scheme = accountant.scheme();
+  std::vector<geometry::Viewport> predicted;
+  for (std::size_t k = 0; k < workload.segment_count(); ++k) {
+    predicted.push_back(workload.test_trace(0).viewport_at(
+        static_cast<double>(k) + 0.5, util::Degrees(120.0)));
+  }
+  std::size_t k = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(scheme.plan(k, predicted[k], 20.0, util::BytesPerSec(6e5),
+                                         util::Seconds(2.0), 60.0));
+    k = (k + 1) % predicted.size();
+  }
+}
+BENCHMARK_CAPTURE(BM_PlanHorizon, Ctile, sim::SchemeKind::kCtile);
+BENCHMARK_CAPTURE(BM_PlanHorizon, Ftile, sim::SchemeKind::kFtile);
+BENCHMARK_CAPTURE(BM_PlanHorizon, Ours, sim::SchemeKind::kOurs);
 
 void BM_Clustering(benchmark::State& state) {
   util::Rng rng(11);

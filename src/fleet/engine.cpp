@@ -121,6 +121,15 @@ std::size_t recommended_reserve_events(const FleetConfig& config) {
 FleetResult run_fleet(const sim::VideoWorkload& workload,
                       const trace::NetworkTrace& link_trace,
                       const FleetConfig& config) {
+  // Every session streams the same encodings (one session template), so one
+  // manifest serves the whole fleet.
+  return run_fleet(workload, link_trace, config,
+                   sim::session_manifest(workload, config.session, config.scheme));
+}
+
+FleetResult run_fleet(const sim::VideoWorkload& workload,
+                      const trace::NetworkTrace& link_trace, const FleetConfig& config,
+                      const sim::EncodingManifest& manifest) {
   PS360_CHECK(config.sessions >= 1);
   PS360_CHECK_MSG(std::isfinite(config.start_spread_s) &&
                       config.start_spread_s >= 0.0,
@@ -194,7 +203,7 @@ FleetResult run_fleet(const sim::VideoWorkload& workload,
           util::derive_seed(config.seed, trace::kFaultSeedStream, i));
     }
     rt.accountant = std::make_unique<sim::SessionAccountant>(
-        workload, test_user, config.scheme, session_config);
+        workload, test_user, config.scheme, session_config, manifest);
     if (plan_cache) rt.accountant->attach_plan_cache(&*plan_cache);
     rt.client = std::make_unique<sim::StreamingClient>(
         rt.accountant->client_config(), workload, rt.accountant->scheme(),

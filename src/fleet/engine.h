@@ -168,4 +168,12 @@ FleetResult run_fleet(const sim::VideoWorkload& workload,
                       const trace::NetworkTrace& link_trace,
                       const FleetConfig& config);
 
+// Same, with every session borrowing `manifest` — sim::session_manifest of
+// (workload, config.session, config.scheme), or a superset — instead of one
+// built for this call. FleetRunner builds it once before its workers start
+// and shares it read-only across replications.
+FleetResult run_fleet(const sim::VideoWorkload& workload,
+                      const trace::NetworkTrace& link_trace, const FleetConfig& config,
+                      const sim::EncodingManifest& manifest);
+
 }  // namespace ps360::fleet

@@ -1,6 +1,7 @@
 // FleetRunner implementation: slot-per-replication results claimed through
 // one atomic counter, so aggregates are bit-identical for any worker count.
-// Each worker runs whole run_fleet calls, which are single-threaded.
+// Each worker runs whole run_fleet calls, which are single-threaded, over one
+// encoding manifest built before the workers start.
 #include "fleet/runner.h"
 
 #include <atomic>
@@ -45,6 +46,11 @@ std::vector<FleetResult> run_fleet_replications(const sim::VideoWorkload& worklo
   std::vector<std::unique_ptr<obs::EventTracer>> rep_tracers(n_reps);
   std::vector<obs::Observer> rep_observers(n_reps);
 
+  // Built before any worker starts and never mutated: every replication
+  // reads the same segment sizes without synchronisation.
+  const sim::EncodingManifest manifest =
+      sim::session_manifest(workload, config.session, config.scheme);
+
   auto worker = [&] {
     for (;;) {
       const std::size_t r = next_rep.fetch_add(1);
@@ -66,7 +72,7 @@ std::vector<FleetResult> run_fleet_replications(const sim::VideoWorkload& worklo
         rep_observers[r].tracer = rep_tracers[r].get();
         rep_config.observer = &rep_observers[r];
       }
-      results[r] = run_fleet(workload, link_trace, rep_config);
+      results[r] = run_fleet(workload, link_trace, rep_config, manifest);
     }
   };
 

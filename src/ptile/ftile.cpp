@@ -14,7 +14,9 @@ using geometry::Viewport;
 
 FtileLayout::FtileLayout(const std::vector<EquirectPoint>& centers,
                          const FtileLayoutConfig& config)
-    : blocks_(config.block_rows, config.block_cols) {
+    : blocks_(config.block_rows, config.block_cols),
+      block_center_x_(config.block_cols),
+      block_center_y_(config.block_rows) {
   PS360_CHECK(config.tile_count >= 1);
   const std::size_t n_blocks = blocks_.tile_count();
   PS360_CHECK(config.tile_count <= n_blocks);
@@ -31,6 +33,8 @@ FtileLayout::FtileLayout(const std::vector<EquirectPoint>& centers,
           geometry::wrap360(geometry::Degrees(area.lon.lo + area.lon.width / 2.0)).value(),
           (area.y_lo + area.y_hi) / 2.0};
       block_centers.push_back(center);
+      if (r == 0) block_center_x_[c] = center.x;
+      if (c == 0) block_center_y_[r] = center.y;
       double views = 0.0;
       for (const auto& user_center : centers) {
         if (Viewport(user_center, geometry::Degrees(config.fov_deg),
@@ -75,21 +79,29 @@ FtileLayout::FtileLayout(const std::vector<EquirectPoint>& centers,
   tile_areas_ = std::move(kept_areas);
 }
 
+template <typename Fn>
+void FtileLayout::for_each_block_in(const geometry::EquirectRect& area, Fn&& fn) const {
+  // EquirectRect::contains(p) is lon.contains(p.x) && y_lo <= p.y <= y_hi,
+  // and a block centre's x depends only on its column and y only on its
+  // row, so each column and each row is tested once.
+  const std::size_t cols = blocks_.cols();
+  std::vector<char> col_in(cols);
+  for (std::size_t c = 0; c < cols; ++c)
+    col_in[c] = area.lon.contains(geometry::Degrees(block_center_x_[c])) ? 1 : 0;
+  for (std::size_t r = 0; r < blocks_.rows(); ++r) {
+    const double y = block_center_y_[r];
+    if (!(y >= area.y_lo && y <= area.y_hi)) continue;
+    for (std::size_t c = 0; c < cols; ++c) {
+      if (col_in[c] != 0) fn(r * cols + c);
+    }
+  }
+}
+
 std::vector<std::size_t> FtileLayout::tiles_overlapping(
     const Viewport& viewport, double min_block_fraction) const {
   PS360_CHECK(min_block_fraction >= 0.0 && min_block_fraction <= 1.0);
   std::vector<std::size_t> hits(tile_blocks_.size(), 0);
-  const auto area = viewport.area();
-  for (std::size_t b = 0; b < block_owner_.size(); ++b) {
-    const TileIndex idx{b / blocks_.cols(), b % blocks_.cols()};
-    const auto block_area = blocks_.tile_area(idx);
-    const EquirectPoint center{
-        geometry::wrap360(
-            geometry::Degrees(block_area.lon.lo + block_area.lon.width / 2.0))
-            .value(),
-        (block_area.y_lo + block_area.y_hi) / 2.0};
-    if (area.contains(center)) ++hits[block_owner_[b]];
-  }
+  for_each_block_in(viewport.area(), [&](std::size_t b) { ++hits[block_owner_[b]]; });
   std::vector<std::size_t> out;
   for (std::size_t t = 0; t < hits.size(); ++t) {
     if (hits[t] == 0) continue;
@@ -100,6 +112,25 @@ std::vector<std::size_t> FtileLayout::tiles_overlapping(
   return out;
 }
 
+FtileSplit FtileLayout::split(const Viewport& viewport,
+                              double min_block_fraction) const {
+  FtileSplit out;
+  out.hq_tiles = tiles_overlapping(viewport, min_block_fraction);
+  std::size_t next = 0;  // cursor into the ascending hq_tiles
+  for (std::size_t t = 0; t < tile_areas_.size(); ++t) {
+    if (next < out.hq_tiles.size() && out.hq_tiles[next] == t) {
+      out.hq_area += tile_areas_[t];
+      ++next;
+    } else {
+      out.bg_area += tile_areas_[t];
+      ++out.bg_tiles;
+    }
+  }
+  out.hq_area = std::min(out.hq_area, 1.0);
+  out.bg_area = std::min(out.bg_area, 1.0);
+  return out;
+}
+
 double FtileLayout::coverage(const Viewport& viewport,
                              const std::vector<std::size_t>& tile_ids) const {
   std::vector<bool> selected(tile_blocks_.size(), false);
@@ -107,20 +138,11 @@ double FtileLayout::coverage(const Viewport& viewport,
     PS360_CHECK(t < tile_blocks_.size());
     selected[t] = true;
   }
-  const auto area = viewport.area();
   std::size_t in_view = 0, covered = 0;
-  for (std::size_t b = 0; b < block_owner_.size(); ++b) {
-    const TileIndex idx{b / blocks_.cols(), b % blocks_.cols()};
-    const auto block_area = blocks_.tile_area(idx);
-    const EquirectPoint center{
-        geometry::wrap360(
-            geometry::Degrees(block_area.lon.lo + block_area.lon.width / 2.0))
-            .value(),
-        (block_area.y_lo + block_area.y_hi) / 2.0};
-    if (!area.contains(center)) continue;
+  for_each_block_in(viewport.area(), [&](std::size_t b) {
     ++in_view;
     if (selected[block_owner_[b]]) ++covered;
-  }
+  });
   if (in_view == 0) return 1.0;
   return static_cast<double>(covered) / static_cast<double>(in_view);
 }

@@ -24,6 +24,17 @@ struct FtileLayoutConfig {
   double fov_deg = 100.0;  // FoV used when counting views per block
 };
 
+// A layout's tiles split for one predicted viewport: the tiles_overlapping
+// set at high quality, every other tile as low-quality background. Each
+// area is summed in tile order and clipped at 1, exactly as
+// video::EncodingModel::tiled_bytes sums the areas it is given.
+struct FtileSplit {
+  std::vector<std::size_t> hq_tiles;  // ascending tile ids
+  double hq_area = 0.0;
+  std::size_t bg_tiles = 0;
+  double bg_area = 0.0;
+};
+
 class FtileLayout {
  public:
   // Build the layout for one segment from the training users' viewing
@@ -48,12 +59,24 @@ class FtileLayout {
   std::vector<std::size_t> tiles_overlapping(const geometry::Viewport& viewport,
                                              double min_block_fraction = 0.2) const;
 
+  // tiles_overlapping plus the area totals of both sides (see FtileSplit).
+  FtileSplit split(const geometry::Viewport& viewport,
+                   double min_block_fraction = 0.2) const;
+
   // Fraction of the viewport's blocks that the given tile set covers.
   double coverage(const geometry::Viewport& viewport,
                   const std::vector<std::size_t>& tile_ids) const;
 
  private:
+  // Calls fn(b) for every block b (row-major) whose centre lies in `area`.
+  template <typename Fn>
+  void for_each_block_in(const geometry::EquirectRect& area, Fn&& fn) const;
+
   geometry::TileGrid blocks_;
+  // Block centres lie on a lattice: the longitude depends only on the
+  // column and the latitude only on the row. Computed at construction.
+  std::vector<double> block_center_x_;  // per column
+  std::vector<double> block_center_y_;  // per row
   std::vector<std::vector<geometry::TileIndex>> tile_blocks_;
   std::vector<double> tile_areas_;
   // block (row-major) -> owning tile id

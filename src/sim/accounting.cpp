@@ -20,11 +20,12 @@ namespace {
 constexpr std::uint64_t kRecoverySeedStream = 0x4EC0FE4ULL;
 
 SchemeEnv make_env(const VideoWorkload& workload, const video::EncodingModel& encoding,
-                   const qoe::QoModel& qo_model, const power::DeviceModel& device,
-                   const SessionConfig& config) {
+                   const EncodingManifest& manifest, const qoe::QoModel& qo_model,
+                   const power::DeviceModel& device, const SessionConfig& config) {
   SchemeEnv env;
   env.workload = &workload;
   env.encoding = &encoding;
+  env.manifest = &manifest;
   env.qo_model = &qo_model;
   env.device = &device;
   env.mpc = config.mpc;
@@ -43,18 +44,42 @@ video::EncodingConfig seeded_encoding(const SessionConfig& config) {
 
 }  // namespace
 
+EncodingManifest session_manifest(const VideoWorkload& workload,
+                                  const SessionConfig& config, SchemeKind scheme) {
+  return EncodingManifest(workload, video::EncodingModel(seeded_encoding(config)),
+                          manifest_needs(scheme));
+}
+
 SessionAccountant::SessionAccountant(const VideoWorkload& workload,
                                      std::size_t test_user, SchemeKind scheme,
                                      const SessionConfig& config)
+    : SessionAccountant(workload, test_user, scheme, config, nullptr) {}
+
+SessionAccountant::SessionAccountant(const VideoWorkload& workload,
+                                     std::size_t test_user, SchemeKind scheme,
+                                     const SessionConfig& config,
+                                     const EncodingManifest& manifest)
+    : SessionAccountant(workload, test_user, scheme, config, &manifest) {}
+
+SessionAccountant::SessionAccountant(const VideoWorkload& workload,
+                                     std::size_t test_user, SchemeKind scheme,
+                                     const SessionConfig& config,
+                                     const EncodingManifest* shared)
     : workload_(&workload),
       test_user_(test_user),
       config_(config),
       encoding_(seeded_encoding(config)),
       qo_model_(config.qo_params, config.qoe_bitrate_scale),
       qoe_model_(config.mpc.weights),
+      owned_manifest_(shared != nullptr
+                          ? nullptr
+                          : std::make_unique<const EncodingManifest>(
+                                workload, encoding_, manifest_needs(scheme))),
       scheme_(make_scheme(scheme,
-                          make_env(workload, encoding_, qo_model_,
-                                   power::device_model(config.device), config))),
+                          make_env(workload, encoding_,
+                                   shared != nullptr ? *shared : *owned_manifest_,
+                                   qo_model_, power::device_model(config.device),
+                                   config))),
       device_(&power::device_model(config.device)) {
   PS360_CHECK(test_user < workload.test_user_count());
   PS360_CHECK(config.mpc.segment_seconds > 0.0 &&

@@ -16,17 +16,31 @@
 #include <vector>
 
 #include "sim/client.h"
+#include "sim/manifest.h"
 #include "sim/session.h"
 #include "util/units.h"
 
 namespace ps360::sim {
 
+// The encoding manifest a session with `config` running `scheme` reads:
+// tabulated from the session's seeded encoding model. Entry points build one
+// before their sessions start and lend it to every SessionAccountant.
+EncodingManifest session_manifest(const VideoWorkload& workload,
+                                  const SessionConfig& config, SchemeKind scheme);
+
 class SessionAccountant {
  public:
   // `workload` must outlive the accountant; `test_user` indexes the held-out
-  // users (see VideoWorkload::test_trace).
+  // users (see VideoWorkload::test_trace). Builds a private encoding
+  // manifest for this one session.
   SessionAccountant(const VideoWorkload& workload, std::size_t test_user,
                     SchemeKind scheme, const SessionConfig& config);
+
+  // Same, borrowing `manifest` — session_manifest(workload, config, scheme)
+  // or any manifest matching it — which must outlive the accountant.
+  SessionAccountant(const VideoWorkload& workload, std::size_t test_user,
+                    SchemeKind scheme, const SessionConfig& config,
+                    const EncodingManifest& manifest);
 
   // The scheme instance the client should plan against.
   const Scheme& scheme() const { return *scheme_; }
@@ -56,12 +70,18 @@ class SessionAccountant {
   SessionResult finish();
 
  private:
+  // `shared` null: build a private manifest.
+  SessionAccountant(const VideoWorkload& workload, std::size_t test_user,
+                    SchemeKind scheme, const SessionConfig& config,
+                    const EncodingManifest* shared);
+
   const VideoWorkload* workload_;
   std::size_t test_user_;
   SessionConfig config_;
   video::EncodingModel encoding_;
   qoe::QoModel qo_model_;
   qoe::QoEModel qoe_model_;
+  std::unique_ptr<const EncodingManifest> owned_manifest_;  // null when shared
   std::unique_ptr<Scheme> scheme_;
   const power::DeviceModel* device_;
 

@@ -261,7 +261,6 @@ class PanoScheme : public SchemeBase {
     // Pano streams the exact same encodings Ctile would) — the difference
     // is purely the objective: perceptually weighted Qo over the full
     // (quality, frame-rate) ladder.
-    const auto& workload = *env_.workload;
     const auto rect =
         grid_.covering_rect(predicted.area(), env_.tile_overlap_threshold);
     const EquirectRect hq = grid_.rect_area(rect);
@@ -270,15 +269,13 @@ class PanoScheme : public SchemeBase {
     const std::size_t n_bg = grid_.tile_count() - n_hq;
     const double bg_area = std::max(1.0 - hq_area, 0.0);
     const double L = env_.mpc.segment_seconds;
+    const EncodingManifest& m = manifest();
 
-    const BytesFn bytes = [&](std::size_t i, int v, std::size_t fi, double ratio) {
+    const auto bytes = [&](std::size_t i, int v, std::size_t fi) {
       double total =
-          env_.encoding->region_bytes(hq_area, n_hq, v, workload.features(i), L, ratio,
-                                      noise_key(workload, i, v, fi, 0));
-      if (n_bg > 0 && bg_area > 0.0) {
-        total += env_.encoding->region_bytes(bg_area, n_bg, 1, workload.features(i), L,
-                                             1.0, noise_key(workload, i, 1, fi, 1));
-      }
+          m.bytes(i, v, fi, kRoleCtileFov, hq_area, n_hq, L, m.frame_factor(fi));
+      if (n_bg > 0 && bg_area > 0.0)
+        total += m.bytes(i, 1, fi, kRoleCtileBackground, bg_area, n_bg, L);
       return total;
     };
 

@@ -4,44 +4,21 @@
 // predicted-Qo evaluation, and the MPC horizon builder — so in-paper schemes
 // (schemes.cpp) and the competitor zoo (competitors.cpp) plan against one
 // implementation. Deterministic: every helper is a pure function of the
-// SchemeEnv and its arguments (size noise is keyed, never drawn).
+// SchemeEnv and its arguments (segment sizes come from the env's immutable
+// EncodingManifest, whose size noise is keyed, never drawn).
 #pragma once
 
 #include <algorithm>
-#include <functional>
 #include <vector>
 
 #include "core/mpc.h"
 #include "qoe/qo_model.h"
+#include "sim/manifest.h"
 #include "sim/schemes.h"
 #include "util/check.h"
-#include "util/rng.h"
 #include "video/quality.h"
 
 namespace ps360::sim {
-
-// Deterministic per-(segment, version, role) key for the encoding-size
-// noise. Roles 0-6 are taken by the in-paper schemes; competitors use the
-// `salt` overload below to fold in a tile index without colliding.
-inline std::uint64_t noise_key(const VideoWorkload& workload, std::size_t segment,
-                               int quality, std::size_t frame_index, int role) {
-  return util::derive_seed(
-      workload.config().seed,
-      static_cast<std::uint64_t>(workload.video().id) * 1000003ULL + segment,
-      static_cast<std::uint64_t>(quality) * 100 + frame_index * 10 +
-          static_cast<std::uint64_t>(role));
-}
-
-inline std::uint64_t noise_key(const VideoWorkload& workload, std::size_t segment,
-                               int quality, std::size_t frame_index, int role,
-                               std::uint64_t salt) {
-  return util::derive_seed(noise_key(workload, segment, quality, frame_index, role),
-                           salt + 1, 0);
-}
-
-// bytes(i, v, frame_ratio) for one lookahead segment.
-using BytesFn = std::function<double(std::size_t segment, int quality,
-                                     std::size_t frame_index, double frame_ratio)>;
 
 class SchemeBase : public Scheme {
  public:
@@ -52,6 +29,11 @@ class SchemeBase : public Scheme {
         frame_ladder_(env.workload->video().fps) {
     PS360_CHECK(env_.workload != nullptr && env_.encoding != nullptr &&
                 env_.qo_model != nullptr && env_.device != nullptr);
+    PS360_CHECK_MSG(env_.manifest != nullptr &&
+                        env_.manifest->matches(*env_.workload, env_.encoding->config(),
+                                               manifest_needs(kind)),
+                    "the env's manifest must be built for its workload and "
+                    "encoding and cover the scheme's manifest_needs()");
     PS360_CHECK(env_.mpc_horizon >= 1);
   }
 
@@ -71,18 +53,26 @@ class SchemeBase : public Scheme {
     return qo * qoe::QoModel::frame_rate_factor(alpha, frame_ratio);
   }
 
-  // Build the MPC horizon [k, k+H-1] clipped to the video end.
-  std::vector<core::SegmentChoices> build_horizon(std::size_t k, const BytesFn& bytes,
+  // One past the last segment of the MPC horizon [k, k+H-1], clipped to the
+  // video end.
+  std::size_t horizon_end(std::size_t k) const {
+    return std::min(k + env_.mpc_horizon, env_.workload->segment_count());
+  }
+
+  // Build the MPC horizon [k, horizon_end(k)). `bytes(i, v, fi)` sizes
+  // version (v, fi) of lookahead segment i.
+  template <typename BytesOf>
+  std::vector<core::SegmentChoices> build_horizon(std::size_t k, const BytesOf& bytes,
                                                   bool frame_options,
                                                   double predicted_sfov,
                                                   power::DecodeProfile profile) const {
-    const std::size_t n = env_.workload->segment_count();
-    const std::size_t end = std::min(k + env_.mpc_horizon, n);
-    std::vector<core::SegmentChoices> horizon;
-    horizon.reserve(end - k);
+    const std::size_t end = horizon_end(k);
+    const std::size_t first_frame = frame_options ? 1 : video::FrameRateLadder::kOptions;
+    std::vector<core::SegmentChoices> horizon(end - k);
     for (std::size_t i = k; i < end; ++i) {
-      core::SegmentChoices choices;
-      const std::size_t first_frame = frame_options ? 1 : video::FrameRateLadder::kOptions;
+      core::SegmentChoices& choices = horizon[i - k];
+      choices.options.reserve(video::QualityLadder::kLevels *
+                              (video::FrameRateLadder::kOptions + 1 - first_frame));
       for (int v = video::QualityLadder::kMinLevel; v <= video::QualityLadder::kMaxLevel;
            ++v) {
         for (std::size_t fi = first_frame; fi <= video::FrameRateLadder::kOptions; ++fi) {
@@ -91,16 +81,17 @@ class SchemeBase : public Scheme {
           option.frame_index = fi;
           const double ratio = frame_ladder_.ratio(fi);
           option.fps = frame_ladder_.fps(fi);
-          option.bytes = bytes(i, v, fi, ratio);
+          option.bytes = bytes(i, v, fi);
           option.qo = predicted_qo(i, v, ratio, predicted_sfov);
           option.profile = profile;
           choices.options.push_back(option);
         }
       }
-      horizon.push_back(std::move(choices));
     }
     return horizon;
   }
+
+  const EncodingManifest& manifest() const { return *env_.manifest; }
 
   const SchemeEnv env_;
   const geometry::TileGrid grid_;

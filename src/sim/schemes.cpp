@@ -27,6 +27,7 @@ using SchemeFactory = std::unique_ptr<Scheme> (*)(const SchemeEnv&);
 struct ControllerEntry {
   ControllerInfo info;
   SchemeFactory factory;
+  ManifestNeeds needs;  // what plan() reads from the encoding manifest
 };
 
 const std::array<ControllerEntry, kSchemeCount>& registry();
@@ -67,6 +68,12 @@ std::vector<SchemeKind> all_schemes() {
   return kinds;
 }
 
+ManifestNeeds manifest_needs(SchemeKind kind) {
+  const auto index = static_cast<std::size_t>(kind);
+  PS360_CHECK_MSG(index < kSchemeCount, "unknown SchemeKind");
+  return registry()[index].needs;
+}
+
 std::vector<SchemeKind> registered_schemes() {
   std::vector<SchemeKind> kinds;
   kinds.reserve(kSchemeCount);
@@ -96,7 +103,6 @@ class CtileScheme : public SchemeBase {
   DownloadPlan plan(std::size_t k, const Viewport& predicted, double predicted_sfov,
                     util::BytesPerSec bandwidth, util::Seconds buffer,
                     double prev_qo) const override {
-    const auto& workload = *env_.workload;
     const auto rect =
         grid_.covering_rect(predicted.area(), env_.tile_overlap_threshold);
     const EquirectRect hq = grid_.rect_area(rect);
@@ -105,14 +111,12 @@ class CtileScheme : public SchemeBase {
     const std::size_t n_bg = grid_.tile_count() - n_hq;
     const double bg_area = std::max(1.0 - hq_area, 0.0);
     const double L = env_.mpc.segment_seconds;
+    const EncodingManifest& m = manifest();
 
-    const BytesFn bytes = [&](std::size_t i, int v, std::size_t fi, double) {
-      double total = env_.encoding->region_bytes(hq_area, n_hq, v, workload.features(i),
-                                                 L, 1.0, noise_key(workload, i, v, fi, 0));
-      if (n_bg > 0 && bg_area > 0.0) {
-        total += env_.encoding->region_bytes(bg_area, n_bg, 1, workload.features(i), L,
-                                             1.0, noise_key(workload, i, 1, fi, 1));
-      }
+    const auto bytes = [&](std::size_t i, int v, std::size_t fi) {
+      double total = m.bytes(i, v, fi, kRoleCtileFov, hq_area, n_hq, L);
+      if (n_bg > 0 && bg_area > 0.0)
+        total += m.bytes(i, 1, fi, kRoleCtileBackground, bg_area, n_bg, L);
       return total;
     };
 
@@ -160,26 +164,24 @@ class FtileScheme : public SchemeBase {
                     double prev_qo) const override {
     const auto& workload = *env_.workload;
     const double L = env_.mpc.segment_seconds;
+    const EncodingManifest& m = manifest();
 
     // The FoV tile set is computed against each lookahead segment's own
-    // layout (layouts are per-segment server-side artifacts).
-    const BytesFn bytes = [&](std::size_t i, int v, std::size_t fi, double) {
-      const auto& layout = workload.ftile(i);
-      const auto selected = layout.tiles_overlapping(predicted);
-      std::vector<double> hq_areas, bg_areas;
-      for (std::size_t t = 0; t < layout.tile_count(); ++t) {
-        const bool is_hq =
-            std::find(selected.begin(), selected.end(), t) != selected.end();
-        (is_hq ? hq_areas : bg_areas).push_back(layout.tile_areas()[t]);
-      }
+    // layout (layouts are per-segment server-side artifacts), once per
+    // segment: the split does not depend on the quality being sized.
+    std::vector<ptile::FtileSplit> splits;
+    splits.reserve(horizon_end(k) - k);
+    for (std::size_t i = k; i < horizon_end(k); ++i)
+      splits.push_back(workload.ftile(i).split(predicted));
+
+    const auto bytes = [&](std::size_t i, int v, std::size_t fi) {
+      const ptile::FtileSplit& split = splits[i - k];
       double total = 0.0;
-      if (!hq_areas.empty()) {
-        total += env_.encoding->tiled_bytes(hq_areas, v, workload.features(i), L, 1.0,
-                                            noise_key(workload, i, v, fi, 2));
+      if (!split.hq_tiles.empty()) {
+        total += m.bytes(i, v, fi, kRoleFtileFov, split.hq_area, split.hq_tiles.size(), L);
       }
-      if (!bg_areas.empty()) {
-        total += env_.encoding->tiled_bytes(bg_areas, 1, workload.features(i), L, 1.0,
-                                            noise_key(workload, i, 1, fi, 3));
+      if (split.bg_tiles > 0) {
+        total += m.bytes(i, 1, fi, kRoleFtileBackground, split.bg_area, split.bg_tiles, L);
       }
       return total;
     };
@@ -195,7 +197,7 @@ class FtileScheme : public SchemeBase {
     plan.frame_ratio = frame_ladder_.ratio(decision.choice.frame_index);
     plan.mpc_feasible = decision.feasible;
     plan.ftile_layout = &workload.ftile(k);
-    plan.ftile_tiles = plan.ftile_layout->tiles_overlapping(predicted);
+    plan.ftile_tiles = std::move(splits.front().hq_tiles);
     return plan;
   }
 
@@ -228,12 +230,11 @@ class NontileScheme : public SchemeBase {
   DownloadPlan plan(std::size_t k, const Viewport&, double predicted_sfov,
                     util::BytesPerSec bandwidth, util::Seconds buffer,
                     double prev_qo) const override {
-    const auto& workload = *env_.workload;
     const double L = env_.mpc.segment_seconds;
+    const EncodingManifest& m = manifest();
 
-    const BytesFn bytes = [&](std::size_t i, int v, std::size_t fi, double) {
-      return env_.encoding->region_bytes(1.0, 1, v, workload.features(i), L, 1.0,
-                                         noise_key(workload, i, v, fi, 4));
+    const auto bytes = [&](std::size_t i, int v, std::size_t fi) {
+      return m.bytes(i, v, fi, kRoleNontile, 1.0, 1, L);
     };
 
     const auto horizon =
@@ -302,16 +303,20 @@ class PtileScheme : public SchemeBase {
     }
 
     const double L = env_.mpc.segment_seconds;
+    const EncodingManifest& m = manifest();
     const double ptile_area = ptile->area.area_fraction();
+    // The background blocks are encoded as separate tiles; their total area
+    // is summed once per plan, in EncodingModel::tiled_bytes' order.
     const std::vector<double> bg_areas = builder_.background_block_areas(*ptile);
+    double bg_area = 0.0;
+    for (double a : bg_areas) bg_area += a;
+    bg_area = std::min(bg_area, 1.0);
 
-    const BytesFn bytes = [&](std::size_t i, int v, std::size_t fi, double ratio) {
+    const auto bytes = [&](std::size_t i, int v, std::size_t fi) {
       double total =
-          env_.encoding->region_bytes(ptile_area, 1, v, workload.features(i), L, ratio,
-                                      noise_key(workload, i, v, fi, 5));
+          m.bytes(i, v, fi, kRolePtile, ptile_area, 1, L, m.frame_factor(fi));
       if (!bg_areas.empty()) {
-        total += env_.encoding->tiled_bytes(bg_areas, 1, workload.features(i), L, 1.0,
-                                            noise_key(workload, i, 1, fi, 6));
+        total += m.bytes(i, 1, fi, kRolePtileBackground, bg_area, bg_areas.size(), L);
       }
       return total;
     };
@@ -367,16 +372,28 @@ std::unique_ptr<Scheme> make_ours(const SchemeEnv& env) {
 // and the registry round-trip test (make → name → make) walks each row.
 const std::array<ControllerEntry, kSchemeCount>& registry() {
   static const std::array<ControllerEntry, kSchemeCount> entries = [] {
+    // Manifest needs: Ptile/Ours fall back to Ctile's encodings; Ours and
+    // Pano size their foreground across the frame-rate ladder.
+    const auto bit = [](int role) { return std::uint32_t{1} << role; };
+    const std::uint32_t ctile = bit(kRoleCtileFov) | bit(kRoleCtileBackground);
+    const std::uint32_t ptile = bit(kRolePtile) | bit(kRolePtileBackground);
     std::array<ControllerEntry, kSchemeCount> table = {{
-        {{SchemeKind::kCtile, "Ctile", /*in_paper=*/true}, &make_ctile},
-        {{SchemeKind::kFtile, "Ftile", /*in_paper=*/true}, &make_ftile},
-        {{SchemeKind::kNontile, "Nontile", /*in_paper=*/true}, &make_nontile},
-        {{SchemeKind::kPtile, "Ptile", /*in_paper=*/true}, &make_ptile_fixed},
-        {{SchemeKind::kOurs, "Ours", /*in_paper=*/true}, &make_ours},
-        {{SchemeKind::kGhoshLp, "GhoshLP", /*in_paper=*/false}, &make_ghosh_lp},
+        {{SchemeKind::kCtile, "Ctile", /*in_paper=*/true}, &make_ctile, {ctile, 0}},
+        {{SchemeKind::kFtile, "Ftile", /*in_paper=*/true},
+         &make_ftile,
+         {bit(kRoleFtileFov) | bit(kRoleFtileBackground), 0}},
+        {{SchemeKind::kNontile, "Nontile", /*in_paper=*/true},
+         &make_nontile,
+         {bit(kRoleNontile), 0}},
+        {{SchemeKind::kPtile, "Ptile", /*in_paper=*/true},
+         &make_ptile_fixed,
+         {ctile | ptile, 0}},
+        {{SchemeKind::kOurs, "Ours", /*in_paper=*/true}, &make_ours, {ctile, ptile}},
+        {{SchemeKind::kGhoshLp, "GhoshLP", /*in_paper=*/false}, &make_ghosh_lp, {}},
         {{SchemeKind::kGhoshRobust, "GhoshRobust", /*in_paper=*/false},
-         &make_ghosh_robust},
-        {{SchemeKind::kPano, "Pano", /*in_paper=*/false}, &make_pano},
+         &make_ghosh_robust,
+         {}},
+        {{SchemeKind::kPano, "Pano", /*in_paper=*/false}, &make_pano, {0, ctile}},
     }};
     for (std::size_t i = 0; i < table.size(); ++i) {
       PS360_ASSERT(static_cast<std::size_t>(table[i].info.kind) == i);

@@ -90,10 +90,15 @@ std::vector<SchemeKind> all_schemes();
 // the tournament default.
 std::vector<SchemeKind> registered_schemes();
 
+class EncodingManifest;
+
 // Shared, non-owning environment a scheme plans against.
 struct SchemeEnv {
   const VideoWorkload* workload = nullptr;
   const video::EncodingModel* encoding = nullptr;
+  // Segment sizes, tabulated from `encoding` (sim/manifest.h); must cover
+  // manifest_needs() of the scheme being built.
+  const EncodingManifest* manifest = nullptr;
   const qoe::QoModel* qo_model = nullptr;
   const power::DeviceModel* device = nullptr;
   core::MpcConfig mpc;            // L, β, quantum, ε, weights, stall penalty

@@ -84,26 +84,17 @@ FaultedDownload download_with_faults(StreamingClient& client,
   }
 }
 
-}  // namespace
-
-SessionResult simulate_session(const VideoWorkload& workload, std::size_t test_user,
-                               SchemeKind scheme_kind,
-                               const trace::NetworkTrace& network,
-                               const SessionConfig& config) {
-  return simulate_session(workload, test_user, scheme_kind, network, config,
-                          /*observer=*/nullptr);
-}
-
-SessionResult simulate_session(const VideoWorkload& workload, std::size_t test_user,
-                               SchemeKind scheme_kind,
-                               const trace::NetworkTrace& network,
-                               const SessionConfig& config, obs::Observer* observer) {
+// One session against `network`, reading segment sizes from `manifest`.
+SessionResult run_session(const VideoWorkload& workload, std::size_t test_user,
+                          SchemeKind scheme_kind, const trace::NetworkTrace& network,
+                          const SessionConfig& config, obs::Observer* observer,
+                          const EncodingManifest& manifest) {
   PS360_CHECK(test_user < workload.test_user_count());
 
   // The accountant owns the per-session models and the delivered-QoE/energy
   // bookkeeping (shared with the fleet engine); this function supplies the
   // network: each planned download takes whatever the throughput trace says.
-  SessionAccountant accountant(workload, test_user, scheme_kind, config);
+  SessionAccountant accountant(workload, test_user, scheme_kind, config, manifest);
   const trace::HeadTrace& head = workload.test_trace(test_user);
   StreamingClient client(accountant.client_config(), workload,
                          accountant.scheme(), head);
@@ -150,6 +141,24 @@ SessionResult simulate_session(const VideoWorkload& workload, std::size_t test_u
   return accountant.finish();
 }
 
+}  // namespace
+
+SessionResult simulate_session(const VideoWorkload& workload, std::size_t test_user,
+                               SchemeKind scheme_kind,
+                               const trace::NetworkTrace& network,
+                               const SessionConfig& config) {
+  return simulate_session(workload, test_user, scheme_kind, network, config,
+                          /*observer=*/nullptr);
+}
+
+SessionResult simulate_session(const VideoWorkload& workload, std::size_t test_user,
+                               SchemeKind scheme_kind,
+                               const trace::NetworkTrace& network,
+                               const SessionConfig& config, obs::Observer* observer) {
+  return run_session(workload, test_user, scheme_kind, network, config, observer,
+                     session_manifest(workload, config, scheme_kind));
+}
+
 SessionResult simulate_all_test_users(const VideoWorkload& workload,
                                       SchemeKind scheme,
                                       const trace::NetworkTrace& network,
@@ -158,8 +167,11 @@ SessionResult simulate_all_test_users(const VideoWorkload& workload,
   PS360_CHECK(users > 0);
   SessionResult mean;
   mean.scheme = scheme;
+  // One manifest for every user: same workload, encoding and scheme.
+  const EncodingManifest manifest = session_manifest(workload, config, scheme);
   for (std::size_t u = 0; u < users; ++u) {
-    const SessionResult r = simulate_session(workload, u, scheme, network, config);
+    const SessionResult r =
+        run_session(workload, u, scheme, network, config, nullptr, manifest);
     mean.energy += r.energy;
     mean.total_stall_s += r.total_stall_s;
     mean.rebuffer_events += r.rebuffer_events;

@@ -63,16 +63,18 @@ const ptile::SegmentPtiles& VideoWorkload::ptiles(std::size_t segment) const {
 
 const ptile::FtileLayout& VideoWorkload::ftile(std::size_t segment) const {
   PS360_CHECK(segment < centers_.size());
-  if (!ftiles_.has_value()) {
+  // Sessions on several FleetRunner workers may share this workload, so the
+  // first use builds every layout exactly once and publishes them to all
+  // callers (call_once synchronises with every later return).
+  std::call_once(ftiles_once_, [this] {
     ptile::FtileLayoutConfig cfg = config_.ftile;
     cfg.seed = config_.seed;
     cfg.fov_deg = config_.fov_deg;
-    std::vector<ptile::FtileLayout> layouts;
-    layouts.reserve(centers_.size());
-    for (const auto& centers : centers_) layouts.emplace_back(centers, cfg);
-    ftiles_ = std::move(layouts);
-  }
-  return (*ftiles_)[segment];
+    ftiles_.clear();  // a throwing build leaves the flag unset; retry clean
+    ftiles_.reserve(centers_.size());
+    for (const auto& centers : centers_) ftiles_.emplace_back(centers, cfg);
+  });
+  return ftiles_[segment];
 }
 
 const trace::HeadTrace& VideoWorkload::test_trace(std::size_t test_user) const {

@@ -9,11 +9,11 @@
 //  * per-segment Ptiles (Algorithm 1 + builder),
 //  * per-segment Ftile layouts (built lazily — they are only needed when the
 //    Ftile baseline runs, and k-means over 450 blocks per segment is the
-//    most expensive precomputation step).
+//    most expensive precomputation step). The lazy build runs exactly once
+//    even when several threads share the workload (std::call_once).
 #pragma once
 
-#include <memory>
-#include <optional>
+#include <mutex>
 #include <vector>
 
 #include "ptile/ftile.h"
@@ -54,7 +54,8 @@ class VideoWorkload {
   // Ptiles constructed for the segment.
   const ptile::SegmentPtiles& ptiles(std::size_t segment) const;
 
-  // Ftile layout for the segment (built on first use for any segment).
+  // Ftile layout for the segment (built on first use for any segment;
+  // thread-safe).
   const ptile::FtileLayout& ftile(std::size_t segment) const;
 
   // Head trace of a held-out test user (0-based among the test users).
@@ -76,7 +77,9 @@ class VideoWorkload {
   std::vector<video::ContentFeatures> features_;
   std::vector<std::vector<geometry::EquirectPoint>> centers_;  // per segment
   std::vector<ptile::SegmentPtiles> ptiles_;
-  mutable std::optional<std::vector<ptile::FtileLayout>> ftiles_;  // lazy
+  // Lazy Ftile layouts: written once under ftiles_once_, read-only after.
+  mutable std::once_flag ftiles_once_;
+  mutable std::vector<ptile::FtileLayout> ftiles_;
 };
 
 }  // namespace ps360::sim

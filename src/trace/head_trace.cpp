@@ -36,12 +36,20 @@ EquirectPoint lerp_center(const EquirectPoint& a, const EquirectPoint& b, double
 
 }  // namespace
 
+std::vector<HeadSample>::const_iterator HeadTrace::first_at_or_after(double t) const {
+  return std::lower_bound(samples_.begin(), samples_.end(), t,
+                          [](const HeadSample& s, double value) { return s.t < value; });
+}
+
+std::vector<HeadSample>::const_iterator HeadTrace::first_after(double t) const {
+  return std::upper_bound(samples_.begin(), samples_.end(), t,
+                          [](double value, const HeadSample& s) { return value < s.t; });
+}
+
 EquirectPoint HeadTrace::center_at(double t) const {
   if (t <= samples_.front().t) return samples_.front().center;
   if (t >= samples_.back().t) return samples_.back().center;
-  const auto it = std::lower_bound(
-      samples_.begin(), samples_.end(), t,
-      [](const HeadSample& s, double value) { return s.t < value; });
+  const auto it = first_at_or_after(t);
   const auto& hi = *it;
   const auto& lo = *(it - 1);
   const double frac = (t - lo.t) / (hi.t - lo.t);
@@ -57,8 +65,8 @@ EquirectPoint HeadTrace::mean_center(double t0, double t1) const {
   // Circular mean on x via unit-vector averaging; plain mean on y.
   double sx = 0.0, sy = 0.0, y_sum = 0.0;
   std::size_t n = 0;
-  for (const auto& s : samples_) {
-    if (s.t < t0 || s.t > t1) continue;
+  for (auto it = first_at_or_after(t0); it != samples_.end() && it->t <= t1; ++it) {
+    const HeadSample& s = *it;
     const double rad = geometry::to_radians(geometry::Degrees(s.center.x)).value();
     sx += std::cos(rad);
     sy += std::sin(rad);
@@ -82,20 +90,13 @@ double HeadTrace::switching_speed(double t0, double t1) const {
   // per consecutive sample pair and aggregated).
   double path_deg = 0.0;
   geometry::Vec3 prev = center_at(t0).orientation();
-  double prev_t = t0;
-  bool any = false;
-  for (const auto& s : samples_) {
-    if (s.t <= t0 || s.t >= t1) continue;
-    const geometry::Vec3 cur = s.center.orientation();
+  for (auto it = first_after(t0); it != samples_.end() && it->t < t1; ++it) {
+    const geometry::Vec3 cur = it->center.orientation();
     path_deg += geometry::angular_distance(prev, cur).value();
     prev = cur;
-    prev_t = s.t;
-    any = true;
   }
   const geometry::Vec3 last = center_at(t1).orientation();
   path_deg += geometry::angular_distance(prev, last).value();
-  (void)prev_t;
-  (void)any;
   return path_deg / (t1 - t0);
 }
 

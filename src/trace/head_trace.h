@@ -39,7 +39,8 @@ class HeadTrace {
   geometry::Viewport viewport_at(double t,
                                  util::Degrees fov = util::Degrees(100.0)) const;
 
-  // Mean viewing center over [t0, t1] (wrap-aware circular mean on x).
+  // Mean viewing center over the samples in [t0, t1] (wrap-aware circular
+  // mean on x). Like switching_speed, visits only the window's samples.
   geometry::EquirectPoint mean_center(double t0, double t1) const;
 
   // Eq. 5 view-switching speed (degrees/second) averaged over [t0, t1]:
@@ -52,6 +53,11 @@ class HeadTrace {
   std::vector<double> switching_speed_series() const;
 
  private:
+  // Binary searches bounding a time window: the first sample with t' >= t,
+  // and the first with t' > t.
+  std::vector<HeadSample>::const_iterator first_at_or_after(double t) const;
+  std::vector<HeadSample>::const_iterator first_after(double t) const;
+
   int video_id_;
   int user_id_;
   std::vector<HeadSample> samples_;

@@ -156,6 +156,67 @@ std::vector<double> ridge_solve(const Matrix& x, const std::vector<double>& y,
   return cholesky_solve(normal, rhs);
 }
 
+SmallRidge::SmallRidge(std::size_t terms) : terms_(terms) {
+  PS360_CHECK(terms >= 1 && terms <= kMaxTerms);
+}
+
+void SmallRidge::add_row(const Vec& row) {
+  PS360_ASSERT(!factored_);
+  // ridge_solve's Xᵀ * X: entry (r, c) sums x(k, r) * x(k, c) over rows k
+  // in order, skipping zero x(k, r). Only the lower triangle is read.
+  for (std::size_t r = 0; r < terms_; ++r) {
+    const double a = row[r];
+    if (a == 0.0) continue;
+    for (std::size_t c = 0; c <= r; ++c) at(r, c) += a * row[c];
+  }
+}
+
+void SmallRidge::add_target(const Vec& row, double target, Vec& rhs) const {
+  for (std::size_t r = 0; r < terms_; ++r) rhs[r] += row[r] * target;
+}
+
+void SmallRidge::factor(const Vec& lambdas) {
+  PS360_ASSERT(!factored_);
+  for (std::size_t i = 0; i < terms_; ++i) {
+    PS360_CHECK(lambdas[i] >= 0.0);
+    at(i, i) += lambdas[i];
+  }
+  // cholesky()'s loop, in place: entry (i, j) is read once, just before L
+  // overwrites it.
+  for (std::size_t i = 0; i < terms_; ++i) {
+    for (std::size_t j = 0; j <= i; ++j) {
+      double sum = at(i, j);
+      for (std::size_t k = 0; k < j; ++k) sum -= at(i, k) * at(j, k);
+      if (i == j) {
+        PS360_CHECK_MSG(sum > 0.0, "matrix is not positive definite");
+        at(i, j) = std::sqrt(sum);
+      } else {
+        at(i, j) = sum / at(j, j);
+      }
+    }
+  }
+  factored_ = true;
+}
+
+SmallRidge::Vec SmallRidge::solve(const Vec& rhs) const {
+  PS360_CHECK_MSG(factored_, "SmallRidge::solve before factor()");
+  // cholesky_solve's forward then back substitution.
+  Vec y{};
+  for (std::size_t i = 0; i < terms_; ++i) {
+    double sum = rhs[i];
+    for (std::size_t k = 0; k < i; ++k) sum -= at(i, k) * y[k];
+    y[i] = sum / at(i, i);
+  }
+  Vec x{};
+  for (std::size_t ii = terms_; ii > 0; --ii) {
+    const std::size_t i = ii - 1;
+    double sum = y[i];
+    for (std::size_t k = i + 1; k < terms_; ++k) sum -= at(k, i) * x[k];
+    x[i] = sum / at(i, i);
+  }
+  return x;
+}
+
 double dot(const std::vector<double>& a, const std::vector<double>& b) {
   PS360_CHECK(a.size() == b.size());
   double s = 0.0;

@@ -6,6 +6,7 @@
 // row-major. All operations validate dimensions with PS360_CHECK.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <initializer_list>
 #include <vector>
@@ -72,6 +73,43 @@ std::vector<double> ridge_solve(const Matrix& x, const std::vector<double>& y,
 // that column). lambdas.size() must equal x.cols().
 std::vector<double> ridge_solve(const Matrix& x, const std::vector<double>& y,
                                 const std::vector<double>& lambdas);
+
+// Ridge regression for at most kMaxTerms unknowns, held on the stack: the
+// allocation-free twin of ridge_solve(x, y, lambdas) for hot paths (the
+// viewport predictor runs it on every segment). Feed the design matrix one
+// row at a time; XᵀX is formed once and serves any number of target series,
+// whose Xᵀy sums the caller accumulates with add_target. Then factor() once
+// and solve() per series. Every sum runs in ridge_solve's order, so the
+// weights are bit-identical to it.
+class SmallRidge {
+ public:
+  static constexpr std::size_t kMaxTerms = 5;
+  using Vec = std::array<double, kMaxTerms>;
+
+  explicit SmallRidge(std::size_t terms);
+
+  // XᵀX += row rowᵀ (the first terms() entries of `row`).
+  void add_row(const Vec& row);
+  // rhs += row * target: one sample's term of Xᵀy.
+  void add_target(const Vec& row, double target, Vec& rhs) const;
+
+  // Cholesky-factor XᵀX + diag(lambdas) in place. Call once, after the
+  // last add_row. Throws std::invalid_argument if a lambda is negative or
+  // the system is not positive definite, as ridge_solve does.
+  void factor(const Vec& lambdas);
+
+  // The weights w solving (XᵀX + diag(lambdas)) w = rhs. Requires factor().
+  Vec solve(const Vec& rhs) const;
+
+ private:
+  double& at(std::size_t r, std::size_t c) { return a_[r * kMaxTerms + c]; }
+  double at(std::size_t r, std::size_t c) const { return a_[r * kMaxTerms + c]; }
+
+  std::size_t terms_;
+  bool factored_ = false;
+  // Lower triangle of XᵀX; of its Cholesky factor L after factor().
+  std::array<double, kMaxTerms * kMaxTerms> a_{};
+};
 
 // Vector helpers shared by the solvers.
 double dot(const std::vector<double>& a, const std::vector<double>& b);

@@ -82,6 +82,8 @@ struct EncodingConfig {
 
   // FoV area fraction used to express the QoE bitrate `b` (100°x100° FoV).
   double fov_area_fraction = (100.0 * 100.0) / (360.0 * 180.0);
+
+  bool operator==(const EncodingConfig&) const = default;
 };
 
 class EncodingModel {
@@ -117,9 +119,11 @@ class EncodingModel {
   // VMAF-vs-bitrate fit).
   double fov_bitrate_mbps(int quality, const ContentFeatures& features) const;
 
- private:
+  // The multiplicative lognormal size jitter region_bytes applies for
+  // `noise_key` (1.0 for key 0 or a zero sigma).
   double size_noise(std::uint64_t noise_key) const;
 
+ private:
   EncodingConfig config_;
 };
 

@@ -8,22 +8,28 @@
 #include "obs/observer.h"
 #include "obs/tracer.h"
 #include "sim/client.h"
+#include "sim/manifest.h"
 #include "sim/session.h"
 
 namespace ps360::sim {
 namespace {
 
+// Focused video, cut to 20 s; built once for the suite.
+const VideoWorkload& shared_workload() {
+  static const VideoWorkload workload = [] {
+    trace::VideoInfo v = trace::test_videos()[1];
+    v.duration_s = 20.0;
+    return VideoWorkload(v, WorkloadConfig{});
+  }();
+  return workload;
+}
+
 struct ClientFixture {
   ClientFixture() {
-    static const trace::VideoInfo video = [] {
-      trace::VideoInfo v = trace::test_videos()[1];  // focused video
-      v.duration_s = 20.0;
-      return v;
-    }();
-    static const VideoWorkload shared_workload(video, WorkloadConfig{});
-    workload = &shared_workload;
+    workload = &shared_workload();
     env.workload = workload;
     env.encoding = &encoding;
+    env.manifest = &manifest;
     env.qo_model = &qo_model;
     env.device = &power::device_model(power::Device::kPixel3);
     scheme = make_scheme(SchemeKind::kOurs, env);
@@ -35,6 +41,7 @@ struct ClientFixture {
 
   const VideoWorkload* workload;
   video::EncodingModel encoding;
+  EncodingManifest manifest{shared_workload(), encoding, ManifestNeeds::all()};
   qoe::QoModel qo_model{qoe::QoParams{}, 4.0};
   SchemeEnv env;
   std::unique_ptr<Scheme> scheme;

@@ -17,6 +17,7 @@
 #include "obs/tracer.h"
 #include "sim/accounting.h"
 #include "sim/client.h"
+#include "sim/manifest.h"
 #include "sim/session.h"
 #include "sim/workload.h"
 #include "trace/fault_schedule.h"
@@ -187,6 +188,7 @@ struct ClientFixture {
     workload = &test_workload();
     env.workload = workload;
     env.encoding = &encoding;
+    env.manifest = &manifest;
     env.qo_model = &qo_model;
     env.device = &power::device_model(power::Device::kPixel3);
     scheme = make_scheme(sim::SchemeKind::kOurs, env);
@@ -199,6 +201,7 @@ struct ClientFixture {
 
   const sim::VideoWorkload* workload;
   video::EncodingModel encoding;
+  sim::EncodingManifest manifest{test_workload(), encoding, sim::ManifestNeeds::all()};
   qoe::QoModel qo_model{qoe::QoParams{}, 4.0};
   sim::SchemeEnv env;
   std::unique_ptr<sim::Scheme> scheme;

@@ -591,6 +591,49 @@ TEST(FleetRunnerTest, ThreadCountInvariance) {
   EXPECT_EQ(agg_serial.metrics.p95_energy_mj, agg_parallel.metrics.p95_energy_mj);
 }
 
+TEST(FleetRunnerTest, FtileOnAFreshWorkloadMatchesSerialUnderThreads) {
+  // A fresh workload has not built its lazy Ftile layouts, so the four
+  // workers' first Ftile plans race to build them; the build must happen
+  // once, and every replication must match the serial run bit for bit.
+  trace::VideoInfo video = trace::test_videos()[1];
+  video.duration_s = 8.0;
+  FleetConfig config;
+  config.sessions = 2;
+  config.seed = 77;
+  config.scheme = sim::SchemeKind::kFtile;
+  FleetRunOptions options;
+  options.replications = 4;
+  options.link.duration_s = 60.0;
+
+  options.threads = 1;
+  const sim::VideoWorkload serial_workload(video, sim::WorkloadConfig{});
+  const std::vector<FleetResult> serial =
+      run_fleet_replications(serial_workload, config, options);
+  options.threads = 4;
+  const sim::VideoWorkload fresh_workload(video, sim::WorkloadConfig{});
+  const std::vector<FleetResult> parallel =
+      run_fleet_replications(fresh_workload, config, options);
+
+  ASSERT_EQ(serial.size(), parallel.size());
+  for (std::size_t r = 0; r < serial.size(); ++r) {
+    ASSERT_EQ(serial[r].sessions.size(), parallel[r].sessions.size());
+    for (std::size_t i = 0; i < serial[r].sessions.size(); ++i) {
+      const sim::SessionResult& a = serial[r].sessions[i].result;
+      const sim::SessionResult& b = parallel[r].sessions[i].result;
+      ASSERT_EQ(a.segments.size(), b.segments.size());
+      for (std::size_t k = 0; k < a.segments.size(); ++k) {
+        EXPECT_EQ(a.segments[k].quality, b.segments[k].quality);
+        EXPECT_EQ(a.segments[k].bytes, b.segments[k].bytes);
+        EXPECT_EQ(a.segments[k].download_s, b.segments[k].download_s);
+        EXPECT_EQ(a.segments[k].coverage, b.segments[k].coverage);
+      }
+      EXPECT_EQ(a.energy.total_mj(), b.energy.total_mj());
+      EXPECT_EQ(a.qoe.mean_q, b.qoe.mean_q);
+      EXPECT_EQ(serial[r].sessions[i].finish_s, parallel[r].sessions[i].finish_s);
+    }
+  }
+}
+
 TEST(FleetRunnerTest, SweepCoversRequestedSizes) {
   const FleetFixture fixture;
 

@@ -7,6 +7,7 @@
 #include <cstdlib>
 
 #include "sim/experiment.h"
+#include "sim/manifest.h"
 #include "sim/session.h"
 
 namespace ps360::sim {
@@ -101,6 +102,7 @@ struct PlannerFixture {
   PlannerFixture() {
     env.workload = &football_workload();
     env.encoding = &encoding;
+    env.manifest = &manifest;
     env.qo_model = &qo_model;
     env.device = &power::device_model(power::Device::kPixel3);
   }
@@ -116,6 +118,7 @@ struct PlannerFixture {
   }
 
   video::EncodingModel encoding;
+  EncodingManifest manifest{football_workload(), encoding, ManifestNeeds::all()};
   qoe::QoModel qo_model{qoe::QoParams{}, 4.0};
   SchemeEnv env;
 };

@@ -25,6 +25,7 @@
 #include "obs/metrics.h"
 #include "obs/observer.h"
 #include "sim/competitors.h"
+#include "sim/manifest.h"
 #include "sim/session.h"
 #include "sim/tournament.h"
 #include "trace/video_catalog.h"
@@ -52,11 +53,13 @@ struct RegistryFixture {
   RegistryFixture() {
     env.workload = &tiny_workload();
     env.encoding = &encoding;
+    env.manifest = &manifest;
     env.qo_model = &qo_model;
     env.device = &power::device_model(power::Device::kPixel3);
   }
 
   video::EncodingModel encoding;
+  EncodingManifest manifest{tiny_workload(), encoding, ManifestNeeds::all()};
   qoe::QoModel qo_model{qoe::QoParams{}, 4.0};
   SchemeEnv env;
 };
