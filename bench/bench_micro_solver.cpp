@@ -1,11 +1,12 @@
 // google-benchmark microbenchmarks for the hot algorithmic pieces: the MPC
 // dynamic program (O(H V F) per decision, Section IV-C), whole-plan horizon
 // construction per controller, Algorithm 1 clustering, the ridge-regression
-// viewport predictor, and the encoding model.
+// viewport predictor, the Eq. 5 switching-speed scans, and the encoding
+// model.
 //
-// The MPC and plan-horizon rows are the repo's tracked perf trajectory: CI
-// (and any local run) emits machine-readable results with
-//   bench_micro_solver --benchmark_filter='BM_Mpc|BM_PlanHorizon'
+// The MPC, plan-horizon and switching-speed rows are the repo's tracked perf
+// trajectory: CI (and any local run) emits machine-readable results with
+//   bench_micro_solver --benchmark_filter='BM_Mpc|BM_PlanHorizon|BM_SwitchingSpeed'
 //     --benchmark_min_time=0.05
 //     --benchmark_out=BENCH_mpc.json --benchmark_out_format=json
 // and tools/bench_report.py renders the summary/speedup table against the
@@ -203,6 +204,24 @@ void BM_EncodingBytes(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EncodingBytes);
+
+// One Eq. 5 switching_speed per iteration over a 1 s window of the 172 s
+// test video 2, cycling through its segments — the window the accountant
+// scans per segment — on a trace with a step table, as VideoWorkload builds
+// for the test users its sessions replay.
+void BM_SwitchingSpeedWindow(benchmark::State& state) {
+  const trace::VideoInfo video = trace::test_videos()[1];
+  trace::HeadTrace head = trace::HeadTraceSynthesizer().synthesize(video, 40);
+  head.build_step_table();
+  const std::size_t windows = static_cast<std::size_t>(head.duration());
+  std::size_t k = 0;
+  for (auto _ : state) {
+    const double t0 = static_cast<double>(k);
+    benchmark::DoNotOptimize(head.switching_speed(t0, t0 + 1.0));
+    k = (k + 1) % windows;
+  }
+}
+BENCHMARK(BM_SwitchingSpeedWindow);
 
 void BM_SwitchingSpeedSeries(benchmark::State& state) {
   const trace::HeadTraceSynthesizer synth;

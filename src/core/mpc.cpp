@@ -7,6 +7,7 @@
 #include "core/buffer.h"
 #include "core/plan_cache.h"
 #include "util/check.h"
+#include "util/strings.h"
 #include "util/units.h"
 
 namespace ps360::core {
@@ -27,6 +28,18 @@ BufferModel buffer_model_of(const MpcConfig& config) {
                      util::Seconds(config.buffer_quantum_s));
 }
 
+// bytes / bandwidth, rejected unless finite. A positive but tiny bandwidth
+// (1e-310 B/s) overflows the division to +inf; every plan would then cost
+// +inf and neither solver would have a plan to return.
+double checked_download_s(double bytes, double bandwidth_bytes_per_s) {
+  const double download_s = bytes / bandwidth_bytes_per_s;
+  PS360_CHECK_MSG(std::isfinite(download_s),
+                  util::strfmt("download time of a %g-byte option is not "
+                               "finite at bandwidth %g B/s",
+                               bytes, bandwidth_bytes_per_s));
+  return download_s;
+}
+
 // resize() that tracks reallocations for the zero-allocation contract.
 template <typename T>
 void grow(std::vector<T>& vec, std::size_t n, std::uint64_t& grow_events) {
@@ -38,7 +51,7 @@ void grow(std::vector<T>& vec, std::size_t n, std::uint64_t& grow_events) {
 
 std::size_t MpcScratch::capacity_bytes() const {
   return (step_cost.capacity() + download_s.capacity() + q_ref.capacity() +
-          at_request_s.capacity() + stall_s.capacity() + cand_cost.capacity() +
+          at_request_s.capacity() + stall_s.capacity() +
           frontier_cost.capacity() + next_cost.capacity()) *
              sizeof(double) +
          (eps_ok.capacity() + frontier_stall.capacity() +
@@ -217,28 +230,26 @@ void MpcController::publish_decision(const MpcDecision& decision,
 // decide() call into the scratch arena:
 //   * step_cost[i][oi]   — option energy (Eq. 1) or raw Qo,
 //   * eps_ok[i][oi]      — constraint (8c) vs the shared reference ladder,
-//   * next_bucket/stall_s[b][oi] — the quantized Eq. 6 transition of the
-//     current step, which only depends on the (small) buffer grid.
+//   * at_request_s[b]    — the bucket's buffer once the Eq. 6 wait Δt passed.
 //
-// The inner cost sweep is branch-free. Energy mode runs in two phases:
-// phase 1 computes every (bucket, option) candidate cost with strictness
-// applied as a +inf mask (a select, not a branch — the loop has no
-// data-dependent control flow, so the compiler can vectorise it); phase 2
-// scatter-mins the candidates into the next frontier with branchless
-// selects. Masked (+inf) candidates are harmless in phase 2: +inf never
-// compares strictly less than any target, and on an inf == inf tie the
-// candidate root can only win against a target root of -1 — which no
-// nonnegative candidate root does — so dead states keep root -1 and are
-// never observed. kMaxQoE keeps a per-state alive check (dead prev-option
-// slots would index past the previous segment's ladder) but its option loop
-// uses the same branchless selects.
+// Energy mode runs a sparse sweep: it visits only live frontier buckets
+// (cost < +inf) and, in the strict pass, only ε-feasible options whose
+// download does not stall, computing each quantized Eq. 6 transition inline.
+// Every candidate it skips would cost +inf, and a +inf candidate never
+// updates the frontier (+inf is never strictly less than a target, and on an
+// inf == inf tie its nonnegative root never beats the target's -1), so the
+// sweep is exact. kMaxQoE revisits every bucket row once per prev-option
+// slot, so it materialises a per-step (bucket × option) transition table
+// instead, memoized on the step's download-time bits (see MpcScratch).
 //
-// Ties on the optimal objective are broken toward the smallest horizon[0]
-// option index — (cost, root choice) propagates lexicographically through
-// the DP — matching decide_exhaustive(), whose depth-first enumeration
-// visits root options in ascending order and only replaces on strictly
-// better cost. Such ties are structural, not exotic: with variation weight
-// 1, every no-stall option above the previous quality scores identically.
+// Both modes update the next frontier bucket-then-option with branchless
+// selects. Ties on the optimal objective are broken toward the smallest
+// horizon[0] option index — (cost, root choice) propagates lexicographically
+// through the DP — matching decide_exhaustive(), whose depth-first
+// enumeration visits root options in ascending order and only replaces on
+// strictly better cost. Such ties are structural, not exotic: with variation
+// weight 1, every no-stall option above the previous quality scores
+// identically.
 MpcDecision MpcController::decide(const std::vector<SegmentChoices>& horizon,
                                   util::BytesPerSec bandwidth,
                                   util::Seconds buffer, double prev_qo) const {
@@ -303,7 +314,8 @@ MpcDecision MpcController::decide(const std::vector<SegmentChoices>& horizon,
     for (std::size_t oi = 0; oi < options.size(); ++oi) {
       const auto& option = options[oi];
       const std::size_t flat = i * max_options + oi;
-      scratch.download_s[flat] = option.bytes / bandwidth_bytes_per_s;
+      scratch.download_s[flat] =
+          checked_download_s(option.bytes, bandwidth_bytes_per_s);
       if (energy_mode) {
         scratch.step_cost[flat] =
             option_energy(option, bandwidth).total_mj();
@@ -326,29 +338,29 @@ MpcDecision MpcController::decide(const std::vector<SegmentChoices>& horizon,
     scratch.at_request_s[b] = level - std::max(level - config_.buffer_threshold_s, 0.0);
   }
 
-  // Quantized Eq. 6 transition from bucket b under download time d: stall
-  // and the next bucket. raw_next lies in [L, cap], so the quantize() clamp
-  // reduces to the min(), and dividing by the quantum directly reproduces
-  // bucket_of(quantize(raw_next)) without materialising the level. lround
-  // stays confined to this small per-step table fill; the hot sweep below
-  // only reads the materialised table.
-  auto transition = [&](std::size_t b, double d, double& stall) {
-    const double at_request = scratch.at_request_s[b];
-    stall = std::max(d - at_request, 0.0);
+  // Quantized Eq. 6 transition from a bucket with `at_request` seconds
+  // buffered under download time d: the stall, and the next bucket. raw_next
+  // lies in [L, cap], so the quantize() clamp reduces to the min(), and
+  // dividing by the quantum directly reproduces bucket_of(quantize(raw_next))
+  // without materialising the level. The energy sweep and the kMaxQoE table
+  // fill both go through these two, so their transitions cannot drift apart.
+  auto stall_of = [](double at_request, double d) {
+    return std::max(d - at_request, 0.0);
+  };
+  auto next_bucket_of = [&](double at_request, double d) {
     const double raw_next =
         std::max(at_request - d, 0.0) + config_.segment_seconds;
     return static_cast<std::size_t>(std::lround(std::min(raw_next, cap) / quantum));
   };
 
-  // Per-step (bucket × option) transition tables — one slot per horizon step
-  // so each step's fill can be memoized (see MpcScratch) — shared by both
-  // modes; the energy sweep additionally stages its masked candidate costs.
-  grow(scratch.next_bucket, h * buckets * max_options, scratch.grow_events);
-  grow(scratch.stall_s, h * buckets * max_options, scratch.grow_events);
-  grow(scratch.table_key_hi, h, scratch.grow_events);
-  grow(scratch.table_key_lo, h, scratch.grow_events);
-  if (energy_mode)
-    grow(scratch.cand_cost, buckets * max_options, scratch.grow_events);
+  // kMaxQoE only: per-step (bucket × option) transition tables, one slot per
+  // horizon step so each step's fill can be memoized (see MpcScratch).
+  if (!energy_mode) {
+    grow(scratch.next_bucket, h * buckets * max_options, scratch.grow_events);
+    grow(scratch.stall_s, h * buckets * max_options, scratch.grow_events);
+    grow(scratch.table_key_hi, h, scratch.grow_events);
+    grow(scratch.table_key_lo, h, scratch.grow_events);
+  }
 
   const std::size_t table_size = buckets * prev_stride;
   const std::size_t start =
@@ -374,6 +386,19 @@ MpcDecision MpcController::decide(const std::vector<SegmentChoices>& horizon,
     scratch.frontier_cost[start] = 0.0;
     bool any_alive = true;
 
+    // Merge one candidate into next-frontier state s: the lexicographic
+    // (cost, root) tie-break is two selects, never a taken branch.
+    auto relax = [&](std::size_t s, double total, std::int32_t root,
+                     unsigned char had) {
+      const bool better =
+          total < scratch.next_cost[s] ||
+          (total == scratch.next_cost[s] && root < scratch.next_root[s]);
+      scratch.next_cost[s] = better ? total : scratch.next_cost[s];
+      scratch.next_root[s] = better ? root : scratch.next_root[s];
+      scratch.next_stall[s] = better ? had : scratch.next_stall[s];
+      return better;
+    };
+
     for (std::size_t i = 0; i < h && any_alive; ++i) {
       std::fill(scratch.next_cost.begin(), scratch.next_cost.end(), kInf);
       std::fill(scratch.next_root.begin(), scratch.next_root.end(),
@@ -386,98 +411,66 @@ MpcDecision MpcController::decide(const std::vector<SegmentChoices>& horizon,
       const double* download_s = scratch.download_s.data() + i * max_options;
       const unsigned char* eps_ok = scratch.eps_ok.data() + i * max_options;
 
-      // This step's Eq. 6 transitions, one row per bucket — memoized on the
-      // exact bits of everything the fill reads that can vary between calls:
-      // the table layout and this step's download-time row (at_request_s,
-      // cap, quantum, and L are all fixed by the controller config, and the
-      // scratch arena is per-controller). The strict→relaxed fallback pass
-      // and same-shaped decide() calls under a pinned bandwidth estimate hit
-      // here and skip the lround loop entirely.
-      const std::size_t table_base = i * buckets * max_options;
-      std::int32_t* nb_tab = scratch.next_bucket.data() + table_base;
-      double* stall_tab = scratch.stall_s.data() + table_base;
-      PlanKeyHasher table_hasher;
-      table_hasher.mix(buckets);
-      table_hasher.mix(max_options);
-      table_hasher.mix(n_options);
-      for (std::size_t oi = 0; oi < n_options; ++oi)
-        table_hasher.mix_double(download_s[oi]);
-      const PlanKey table_key = table_hasher.key();
-      if (scratch.table_key_hi[i] == table_key.hi &&
-          scratch.table_key_lo[i] == table_key.lo) {
-        ++scratch.table_fill_hits;
-      } else {
-        for (std::size_t b = 0; b < buckets; ++b) {
-          for (std::size_t oi = 0; oi < n_options; ++oi) {
-            double stall;
-            const std::size_t nb = transition(b, download_s[oi], stall);
-            nb_tab[b * max_options + oi] = static_cast<std::int32_t>(nb);
-            stall_tab[b * max_options + oi] = stall;
-          }
-        }
-        ++scratch.table_fills;
-        scratch.table_key_hi[i] = table_key.hi;
-        scratch.table_key_lo[i] = table_key.lo;
-      }
-
       if (energy_mode) {
-        // Phase 1 — masked candidate costs, no branches in the loop body:
-        // infeasible (strict) candidates become +inf via a select. A dead
-        // frontier bucket (cost +inf) propagates +inf through the addition,
-        // so no alive-check is needed either.
-        if (strict) {
-          for (std::size_t b = 0; b < table_size; ++b) {
-            const double base = scratch.frontier_cost[b];
-            const double* stall_row = stall_tab + b * max_options;
-            double* cand = scratch.cand_cost.data() + b * max_options;
-            for (std::size_t oi = 0; oi < n_options; ++oi) {
-              const bool ok = eps_ok[oi] != 0 && stall_row[oi] == 0.0;
-              cand[oi] = ok ? base + step_cost[oi] : kInf;
-            }
-          }
-        } else {
-          for (std::size_t b = 0; b < table_size; ++b) {
-            const double base = scratch.frontier_cost[b];
-            const double* stall_row = stall_tab + b * max_options;
-            double* cand = scratch.cand_cost.data() + b * max_options;
-            for (std::size_t oi = 0; oi < n_options; ++oi) {
-              // Parenthesised as (step + penalty·stall) first: the exact
-              // FP association of the reference implementation.
-              cand[oi] = base + (step_cost[oi] +
-                                 kStallPenaltyMjPerS * stall_row[oi]);
-            }
-          }
-        }
-        // Phase 2 — scatter-min with branchless selects; the lexicographic
-        // (cost, root) tie-break is two selects, never a taken branch.
-        for (std::size_t b = 0; b < table_size; ++b) {
+        for (std::size_t b = 0; b < buckets; ++b) {
+          const double base = scratch.frontier_cost[b];
+          if (base == kInf) continue;  // dead bucket: every candidate is +inf
+          const double at_request = scratch.at_request_s[b];
           const std::int32_t node_root = scratch.frontier_root[b];
           const unsigned char node_stall = scratch.frontier_stall[b];
-          const double* cand = scratch.cand_cost.data() + b * max_options;
-          const std::int32_t* nb_row = nb_tab + b * max_options;
-          const double* stall_row = stall_tab + b * max_options;
           for (std::size_t oi = 0; oi < n_options; ++oi) {
-            const double total = cand[oi];
-            const std::size_t nb = static_cast<std::size_t>(nb_row[oi]);
+            if (strict && eps_ok[oi] == 0) continue;
+            const double stall = stall_of(at_request, download_s[oi]);
+            if (strict && stall != 0.0) continue;
+            // Parenthesised as (step + penalty·stall) first: the exact FP
+            // association of the reference implementation.
+            const double total =
+                strict ? base + step_cost[oi]
+                       : base + (step_cost[oi] + kStallPenaltyMjPerS * stall);
             const std::int32_t root =
                 i == 0 ? static_cast<std::int32_t>(oi) : node_root;
-            const unsigned char had =
-                (node_stall != 0 || stall_row[oi] > 0.0) ? 1 : 0;
-            const bool better =
-                total < scratch.next_cost[nb] ||
-                (total == scratch.next_cost[nb] && root < scratch.next_root[nb]);
-            scratch.next_cost[nb] = better ? total : scratch.next_cost[nb];
-            scratch.next_root[nb] = better ? root : scratch.next_root[nb];
-            scratch.next_stall[nb] = better ? had : scratch.next_stall[nb];
+            const unsigned char had = (node_stall != 0 || stall > 0.0) ? 1 : 0;
+            if (relax(next_bucket_of(at_request, download_s[oi]), total, root,
+                      had))
+              any_alive = true;
           }
         }
-        // Finite-min liveness: some next state survived iff any candidate
-        // landed below +inf.
-        double min_cost = kInf;
-        for (std::size_t s = 0; s < table_size; ++s)
-          min_cost = std::min(min_cost, scratch.next_cost[s]);
-        any_alive = min_cost < kInf;
       } else {
+        // This step's Eq. 6 transitions, one row per bucket — memoized on
+        // the exact bits of everything the fill reads that can vary between
+        // calls: the table layout and this step's download-time row
+        // (at_request_s, cap, quantum, and L are all fixed by the controller
+        // config, and the scratch arena is per-controller). Same-shaped
+        // decide() calls under a pinned bandwidth estimate hit here and skip
+        // the lround loop entirely.
+        const std::size_t table_base = i * buckets * max_options;
+        std::int32_t* nb_tab = scratch.next_bucket.data() + table_base;
+        double* stall_tab = scratch.stall_s.data() + table_base;
+        PlanKeyHasher table_hasher;
+        table_hasher.mix(buckets);
+        table_hasher.mix(max_options);
+        table_hasher.mix(n_options);
+        for (std::size_t oi = 0; oi < n_options; ++oi)
+          table_hasher.mix_double(download_s[oi]);
+        const PlanKey table_key = table_hasher.key();
+        if (scratch.table_key_hi[i] == table_key.hi &&
+            scratch.table_key_lo[i] == table_key.lo) {
+          ++scratch.table_fill_hits;
+        } else {
+          for (std::size_t b = 0; b < buckets; ++b) {
+            const double at_request = scratch.at_request_s[b];
+            for (std::size_t oi = 0; oi < n_options; ++oi) {
+              nb_tab[b * max_options + oi] = static_cast<std::int32_t>(
+                  next_bucket_of(at_request, download_s[oi]));
+              stall_tab[b * max_options + oi] =
+                  stall_of(at_request, download_s[oi]);
+            }
+          }
+          ++scratch.table_fills;
+          scratch.table_key_hi[i] = table_key.hi;
+          scratch.table_key_lo[i] = table_key.lo;
+        }
+
         for (std::size_t state = 0; state < table_size; ++state) {
           const double node_cost = scratch.frontier_cost[state];
           // Dead prev-option slots must be skipped: their slot index can
@@ -504,21 +497,11 @@ MpcDecision MpcController::decide(const std::vector<SegmentChoices>& horizon,
                              config_.stall_penalty_per_s * stall;
             const std::size_t next_state =
                 static_cast<std::size_t>(nb_row[oi]) * prev_stride + oi + 1;
-            const double total = node_cost - q;
             const std::int32_t root =
                 i == 0 ? static_cast<std::int32_t>(oi) : node_root;
             const unsigned char had =
                 (node_stall != 0 || stall > 0.0) ? 1 : 0;
-            const bool better =
-                total < scratch.next_cost[next_state] ||
-                (total == scratch.next_cost[next_state] &&
-                 root < scratch.next_root[next_state]);
-            scratch.next_cost[next_state] =
-                better ? total : scratch.next_cost[next_state];
-            scratch.next_root[next_state] =
-                better ? root : scratch.next_root[next_state];
-            scratch.next_stall[next_state] =
-                better ? had : scratch.next_stall[next_state];
+            relax(next_state, node_cost - q, root, had);
           }
         }
       }
@@ -557,7 +540,7 @@ MpcDecision MpcController::decide(const std::vector<SegmentChoices>& horizon,
   bool relaxed_fallback = false;
   if (!run(/*strict=*/energy_mode, decision, root_choice)) {
     // No plan satisfies the constraints (e.g. bandwidth collapse): fall back
-    // to the relaxed problem — reusing the same precomputed tables — and
+    // to the relaxed problem — reusing the same precomputed invariants — and
     // report infeasibility.
     const bool found = run(/*strict=*/false, decision, root_choice);
     PS360_ASSERT_MSG(found, "relaxed MPC must always find a plan");
@@ -584,6 +567,10 @@ MpcDecision MpcController::decide_exhaustive(const std::vector<SegmentChoices>& 
   PS360_CHECK(!horizon.empty());
   PS360_CHECK(bandwidth_bytes_per_s > 0.0);
   const bool energy_mode = objective_ == MpcObjective::kMinEnergyQoEConstrained;
+
+  for (const SegmentChoices& seg : horizon)
+    for (const QualityOption& option : seg.options)
+      (void)checked_download_s(option.bytes, bandwidth_bytes_per_s);
 
   std::vector<double> q_ref(horizon.size(), 0.0);
   if (energy_mode) reference_qualities(horizon, bandwidth, q_ref);

@@ -81,10 +81,8 @@ struct MpcDecision {
 // In kMinEnergyQoEConstrained mode the step cost does not depend on the
 // previous option, so prev_stride collapses to 1 and the frontier shrinks by
 // a factor of |options|. The frontier is structure-of-arrays — parallel
-// cost / root / stall vectors instead of an array of nodes — so the cost
-// sweep reads and writes contiguous doubles the compiler can vectorise (see
-// the branch-free sweep in mpc.cpp). Internal: the only stable surface is
-// the observability accessors on MpcController.
+// cost / root / stall vectors instead of an array of nodes. Internal: the
+// only stable surface is the observability accessors on MpcController.
 struct MpcScratch {
   // Per-option invariants of one decide() call (independent of DP state).
   std::vector<double> step_cost;        // energy mJ, or raw qo in kMaxQoE mode
@@ -93,25 +91,23 @@ struct MpcScratch {
   std::vector<double> q_ref;            // per-segment reference quality
   // Buffer level available at request time per bucket (Eq. 6 Δt applied).
   std::vector<double> at_request_s;
-  // Quantized Eq. 6 transition tables, one (bucket × option) slot per
-  // horizon step (slot i at offset i · buckets · max_options): each bucket
-  // row is shared by every prev-option slot in kMaxQoE mode and feeds the
-  // two-phase masked sweep in energy mode. Slot i's fill is memoized on an
-  // exact fingerprint of its inputs (table layout + the step's download-time
-  // row bits — everything else the transition reads is fixed per controller
-  // config), so the strict→relaxed fallback pass and repeat horizons under a
-  // pinned bandwidth estimate skip the lround-heavy refill entirely. The
-  // memo is exact-key, so memo-on ≡ memo-off bit-identically (covered by
-  // the decide ≡ decide_exhaustive and plan-cache differentials).
+  // kMaxQoE only: quantized Eq. 6 transition tables, one (bucket × option)
+  // slot per horizon step (slot i at offset i · buckets · max_options), each
+  // bucket row shared by every prev-option slot. Slot i's fill is memoized
+  // on an exact fingerprint of its inputs (table layout + the step's
+  // download-time row bits — everything else the transition reads is fixed
+  // per controller config), so repeat horizons under a pinned bandwidth
+  // estimate skip the lround-heavy refill. The memo is exact-key, so
+  // memo-on ≡ memo-off bit-identically (covered by the decide ≡
+  // decide_exhaustive and plan-cache differentials). The energy objective
+  // visits each (live bucket, option) pair at most once per pass and
+  // computes its transition inline, so it never touches these vectors.
   std::vector<std::int32_t> next_bucket;
   std::vector<double> stall_s;
   std::vector<std::uint64_t> table_key_hi;  // per-step fill fingerprints
   std::vector<std::uint64_t> table_key_lo;
   std::uint64_t table_fills = 0;      // transition-table slot refills
   std::uint64_t table_fill_hits = 0;  // refills skipped via fingerprint match
-  // Energy-mode phase-1 candidate costs per (bucket, option): masked to
-  // +inf where strict constraints fail, so phase 2 is a pure min-scatter.
-  std::vector<double> cand_cost;
   // Dense DP frontier tables (double-buffered, structure-of-arrays): the
   // minimal cost to reach each state, the option chosen at horizon[0] on
   // that minimal path, and whether that path stalled.
@@ -143,13 +139,25 @@ class MpcController {
                                      util::BytesPerSec bandwidth) const;
 
   // Solve the horizon. horizon[0] is the segment about to be requested;
-  // buffer_s is B_k; prev_qo is Qo_{k-1} for the variation term.
+  // buffer_s is B_k; prev_qo is Qo_{k-1} for the variation term. Throws
+  // std::invalid_argument if any option's download time bytes / bandwidth
+  // is not finite (a positive bandwidth so small the division overflows).
+  //
+  // The energy objective runs a sparse sweep: per step it visits only live
+  // frontier buckets and, in the strict (no-stall, ε-feasible) pass, only
+  // options that pass both constraints, computing each Eq. 6 transition
+  // inline. Skipped candidates are exactly the +inf ones, which can never
+  // update the frontier, so the sweep equals the dense DP bit for bit.
+  // kMaxQoE sweeps every (bucket, prev option) state over memoized
+  // per-step transition tables. Both break cost ties toward the smallest
+  // horizon[0] option, as decide_exhaustive() does.
   MpcDecision decide(const std::vector<SegmentChoices>& horizon,
                      util::BytesPerSec bandwidth, util::Seconds buffer,
                      double prev_qo) const;
 
   // Exhaustive-search reference implementation (exponential in H); used by
-  // tests to validate the DP. Semantics identical to decide().
+  // tests to validate the DP. Semantics identical to decide(), including
+  // the rejection of non-finite download times.
   MpcDecision decide_exhaustive(const std::vector<SegmentChoices>& horizon,
                                 util::BytesPerSec bandwidth,
                                 util::Seconds buffer, double prev_qo) const;
@@ -162,7 +170,8 @@ class MpcController {
 
   // Transition-table memo observability (see MpcScratch): how many per-step
   // (bucket × option) table fills ran vs. were skipped on an exact
-  // fingerprint match. The relaxed fallback pass alone makes hits common.
+  // fingerprint match. Only kMaxQoE controllers fill tables; an energy-mode
+  // controller reports 0 for both.
   std::uint64_t scratch_table_fills() const { return scratch_.table_fills; }
   std::uint64_t scratch_table_fill_hits() const {
     return scratch_.table_fill_hits;

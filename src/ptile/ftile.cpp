@@ -52,7 +52,13 @@ FtileLayout::FtileLayout(const std::vector<EquirectPoint>& centers,
   const KMeansResult clustering =
       kmeans(block_centers, weights, config.tile_count, rng);
 
+  // Size each tile's block list exactly: the layouts live as long as the
+  // workload, so growth slack would stay resident for every segment.
+  std::vector<std::size_t> tile_sizes(config.tile_count, 0);
+  for (const std::size_t tile : clustering.assignment) ++tile_sizes[tile];
   tile_blocks_.assign(config.tile_count, {});
+  for (std::size_t t = 0; t < config.tile_count; ++t)
+    tile_blocks_[t].reserve(tile_sizes[t]);
   block_owner_.assign(n_blocks, 0);
   const double block_area = 1.0 / static_cast<double>(n_blocks);
   std::vector<double> areas(config.tile_count, 0.0);

@@ -121,13 +121,15 @@ KMeansResult kmeans(const std::vector<EquirectPoint>& points,
     seeds.push_back(points[pick]);
   }
   std::vector<double> d2(points.size());
+  // Distance from each point to its nearest seed so far: each round folds
+  // in only the newest seed, O(n) distances instead of O(n · seeds). min is
+  // exact, so this is the same value as a scan over every seed.
+  std::vector<double> nearest(points.size(), std::numeric_limits<double>::infinity());
   while (seeds.size() < k) {
     double total = 0.0;
     for (std::size_t i = 0; i < points.size(); ++i) {
-      double best = std::numeric_limits<double>::infinity();
-      for (const auto& s : seeds)
-        best = std::min(best, geometry::wrapped_distance(points[i], s));
-      d2[i] = weight_of(weights, i) * best * best;
+      nearest[i] = std::min(nearest[i], geometry::wrapped_distance(points[i], seeds.back()));
+      d2[i] = weight_of(weights, i) * nearest[i] * nearest[i];
       total += d2[i];
     }
     std::size_t pick = points.size() - 1;

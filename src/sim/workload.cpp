@@ -24,6 +24,12 @@ VideoWorkload::VideoWorkload(const trace::VideoInfo& video, WorkloadConfig confi
   head.seed = config_.seed;
   const trace::HeadTraceSynthesizer synth(head);
   traces_ = synth.synthesize_all(video_, config_.n_users);
+  // Sessions replay only the test users, and every segment scans their
+  // traces twice (the client's predicted S_fov and the accountant's actual
+  // one), so only those traces get Eq. 5 step tables; every session,
+  // scheme and thread reads the same ones.
+  for (std::size_t u = config_.n_training_users; u < traces_.size(); ++u)
+    traces_[u].build_step_table();
 
   const std::size_t n_segments = video::segment_count(video_, config_.segment_seconds);
   features_.reserve(n_segments);

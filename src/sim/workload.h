@@ -4,6 +4,8 @@
 //  * 48 synthetic head traces (users 0..39 are the "training" users whose
 //    viewing centers build Ptiles and Ftile layouts; users 40..47 are the
 //    held-out "test" users the sessions replay — the paper's 40/8 split).
+//    Only the test traces carry Eq. 5 step tables
+//    (HeadTrace::build_step_table): they are the ones scanned per segment.
 //  * per-segment content features (SI/TI),
 //  * per-segment training viewing centers (mean center over the segment),
 //  * per-segment Ptiles (Algorithm 1 + builder),

@@ -84,19 +84,44 @@ EquirectPoint HeadTrace::mean_center(double t0, double t1) const {
   return EquirectPoint{x, y_sum / static_cast<double>(n)};
 }
 
+void HeadTrace::build_step_table() {
+  step_deg_.clear();
+  if (samples_.size() < 2) return;
+  step_deg_.reserve(samples_.size() - 1);
+  geometry::Vec3 prev = samples_.front().center.orientation();
+  for (std::size_t j = 1; j < samples_.size(); ++j) {
+    const geometry::Vec3 cur = samples_[j].center.orientation();
+    step_deg_.push_back(geometry::angular_distance(prev, cur).value());
+    prev = cur;
+  }
+}
+
+double HeadTrace::step_deg(std::size_t j) const {
+  if (!step_deg_.empty()) return step_deg_[j];
+  return geometry::angular_distance(samples_[j].center.orientation(),
+                                    samples_[j + 1].center.orientation())
+      .value();
+}
+
 double HeadTrace::switching_speed(double t0, double t1) const {
   PS360_CHECK(t1 > t0);
   // Great-circle path length over the window / elapsed time (Eq. 5 applied
-  // per consecutive sample pair and aggregated).
+  // per consecutive sample pair and aggregated). Samples strictly inside
+  // (t0, t1) are [first, end); only the two end pieces are interpolated.
+  const geometry::Vec3 from = center_at(t0).orientation();
+  const geometry::Vec3 to = center_at(t1).orientation();
+  const auto first = first_after(t0);
+  const auto end = first_at_or_after(t1);
   double path_deg = 0.0;
-  geometry::Vec3 prev = center_at(t0).orientation();
-  for (auto it = first_after(t0); it != samples_.end() && it->t < t1; ++it) {
-    const geometry::Vec3 cur = it->center.orientation();
-    path_deg += geometry::angular_distance(prev, cur).value();
-    prev = cur;
+  if (first == end) {
+    path_deg += geometry::angular_distance(from, to).value();
+    return path_deg / (t1 - t0);
   }
-  const geometry::Vec3 last = center_at(t1).orientation();
-  path_deg += geometry::angular_distance(prev, last).value();
+  const auto lo = static_cast<std::size_t>(first - samples_.begin());
+  const auto hi = static_cast<std::size_t>(end - samples_.begin()) - 1;
+  path_deg += geometry::angular_distance(from, samples_[lo].center.orientation()).value();
+  for (std::size_t j = lo; j < hi; ++j) path_deg += step_deg(j);
+  path_deg += geometry::angular_distance(samples_[hi].center.orientation(), to).value();
   return path_deg / (t1 - t0);
 }
 

@@ -8,6 +8,7 @@
 // form, so the real dataset can be swapped in.
 #pragma once
 
+#include <cstddef>
 #include <filesystem>
 #include <vector>
 
@@ -45,8 +46,21 @@ class HeadTrace {
 
   // Eq. 5 view-switching speed (degrees/second) averaged over [t0, t1]:
   // total great-circle path length between consecutive samples divided by
-  // the elapsed time.
+  // the elapsed time. The path is summed left to right: the piece from the
+  // interpolated center at t0 to the first sample inside the window, the
+  // steps between the window's samples, and the piece to the center at t1.
   double switching_speed(double t0, double t1) const;
+
+  // Step table for switching_speed: the great-circle distance (degrees)
+  // between every pair of consecutive samples, computed once. With it,
+  // switching_speed computes only its two interpolated end pieces per call
+  // and reads the interior steps, in the same order and bit-identical to
+  // deriving them from the samples. Costs 8 bytes per sample, so it is
+  // built only for traces that are scanned over and over (VideoWorkload
+  // builds it for the test users its sessions replay); a trace without a
+  // table, or with fewer than two samples, derives each step on the fly.
+  void build_step_table();
+  bool has_step_table() const { return !step_deg_.empty(); }
 
   // Instantaneous switching speeds for every consecutive sample pair; used
   // to build the Fig. 5 distribution.
@@ -58,9 +72,14 @@ class HeadTrace {
   std::vector<HeadSample>::const_iterator first_at_or_after(double t) const;
   std::vector<HeadSample>::const_iterator first_after(double t) const;
 
+  // Great-circle distance between samples j and j + 1, from the step table
+  // if there is one.
+  double step_deg(std::size_t j) const;
+
   int video_id_;
   int user_id_;
   std::vector<HeadSample> samples_;
+  std::vector<double> step_deg_;  // empty unless build_step_table() ran
 };
 
 // CSV persistence. Columns: t,x,y (header included on write).

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <stdexcept>
+#include <string>
 
 #include "core/buffer.h"
 #include "core/mpc.h"
@@ -352,6 +355,47 @@ TEST(MpcValidationTest, RejectsBadInputs) {
   EXPECT_THROW(controller.decide(horizon, util::BytesPerSec(0.0), util::Seconds(3.0), -1.0), std::invalid_argument);
   EXPECT_THROW(controller.decide(horizon, util::BytesPerSec(1e6), util::Seconds(-1.0), -1.0), std::invalid_argument);
 }
+
+// A positive bandwidth so small that bytes / bandwidth overflows to +inf
+// used to reach decide()'s internal "relaxed MPC must always find a plan"
+// assert and made decide_exhaustive() return a default decision (bytes 0,
+// objective 0). Both solvers, under both objectives, now reject it as a bad
+// argument that names the bandwidth.
+class NonFiniteDownloadTest : public ::testing::TestWithParam<MpcObjective> {};
+
+std::string check_message(const std::function<void()>& call) {
+  try {
+    call();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST_P(NonFiniteDownloadTest, DecideRejectsIt) {
+  const MpcController controller(default_config(),
+                                 power::device_model(Device::kPixel3), GetParam());
+  const std::vector<SegmentChoices> horizon(2, make_choices(1e6, DecodeProfile::kPtile));
+  const std::string msg = check_message([&] {
+    (void)controller.decide(horizon, util::BytesPerSec(1e-310), util::Seconds(2.0), -1.0);
+  });
+  EXPECT_NE(msg.find("bandwidth 1e-310 B/s"), std::string::npos) << msg;
+}
+
+TEST_P(NonFiniteDownloadTest, DecideExhaustiveRejectsIt) {
+  const MpcController controller(default_config(),
+                                 power::device_model(Device::kPixel3), GetParam());
+  const std::vector<SegmentChoices> horizon(2, make_choices(1e6, DecodeProfile::kPtile));
+  const std::string msg = check_message([&] {
+    (void)controller.decide_exhaustive(horizon, util::BytesPerSec(1e-310),
+                                       util::Seconds(2.0), -1.0);
+  });
+  EXPECT_NE(msg.find("bandwidth 1e-310 B/s"), std::string::npos) << msg;
+}
+
+INSTANTIATE_TEST_SUITE_P(BothObjectives, NonFiniteDownloadTest,
+                         ::testing::Values(MpcObjective::kMaxQoE,
+                                           MpcObjective::kMinEnergyQoEConstrained));
 
 TEST(MpcValidationTest, ConfigValidation) {
   MpcConfig config = default_config();

@@ -6,7 +6,9 @@
 // scratch arena, observed through the MpcController scratch hooks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "core/buffer.h"
@@ -95,6 +97,167 @@ TEST_P(SolverDifferential, DecideMatchesExhaustive) {
 INSTANTIATE_TEST_SUITE_P(RandomHorizons, SolverDifferential,
                          ::testing::Combine(::testing::Range(0, 200),
                                             ::testing::Bool()));
+
+// ------------------------------------ Energy objective: sparse-sweep corners
+//
+// The energy objective's sparse sweep skips dead buckets, ε-infeasible
+// options and stalling options in the strict pass. These batteries aim at
+// the places that skipping could go wrong — a single surviving option, a
+// strict pass that dies, exact cost ties, and every start bucket — and
+// require decide() to match decide_exhaustive() bit for bit (both add the
+// same step costs in the same order).
+
+void expect_same_decision(const MpcController& controller,
+                          const std::vector<SegmentChoices>& horizon,
+                          double bandwidth, double buffer,
+                          const std::string& where) {
+  const MpcDecision dp = controller.decide(horizon, util::BytesPerSec(bandwidth),
+                                           util::Seconds(buffer), -1.0);
+  const MpcDecision brute = controller.decide_exhaustive(
+      horizon, util::BytesPerSec(bandwidth), util::Seconds(buffer), -1.0);
+  EXPECT_EQ(dp.objective, brute.objective) << where;
+  EXPECT_EQ(dp.feasible, brute.feasible) << where;
+  EXPECT_EQ(dp.choice.quality, brute.choice.quality) << where;
+  EXPECT_EQ(dp.choice.frame_index, brute.choice.frame_index) << where;
+  EXPECT_EQ(dp.choice.bytes, brute.choice.bytes) << where;
+  EXPECT_EQ(dp.choice.qo, brute.choice.qo) << where;
+}
+
+// Every DP bucket's level, including those above β (3.5 s and 4 s on the
+// default grid, where the Eq. 6 wait Δt is nonzero).
+std::vector<double> every_bucket_level(const MpcConfig& config) {
+  const BufferModel model(util::Seconds(config.segment_seconds),
+                          util::Seconds(config.buffer_threshold_s),
+                          util::Seconds(config.buffer_quantum_s));
+  std::vector<double> levels;
+  for (std::size_t b = 0; b < model.bucket_count(); ++b)
+    levels.push_back(model.level_of(static_cast<int>(b)));
+  return levels;
+}
+
+std::size_t eps_feasible_count(const SegmentChoices& seg, double bandwidth,
+                               const MpcConfig& config) {
+  const double q_ref = reference_option(seg, util::BytesPerSec(bandwidth),
+                                        util::Seconds(config.segment_seconds))
+                           .qo;
+  std::size_t n = 0;
+  for (const QualityOption& option : seg.options)
+    if (option.qo >= (1.0 - config.epsilon) * q_ref) ++n;
+  return n;
+}
+
+class EnergyCorners : public ::testing::TestWithParam<int> {
+ protected:
+  MpcConfig config_;
+  const power::DeviceModel& device_ = power::device_model(Device::kPixel3);
+};
+
+TEST_P(EnergyCorners, EpsilonLeavesASingleOption) {
+  util::Rng rng(util::derive_seed(0xE5u, static_cast<std::uint64_t>(GetParam())));
+  config_.epsilon = 0.0;
+  const MpcController controller(config_, device_,
+                                 MpcObjective::kMinEnergyQoEConstrained);
+  const double bandwidth = rng.uniform(2e5, 2e6);
+  auto horizon = random_horizon(rng, 1 + rng.uniform_index(4), 6);
+  // One option per segment becomes the reference: the top frame rate,
+  // sustainable at the bandwidth, and strictly the best Qo. With ε = 0 it
+  // is the only option constraint (8c) admits.
+  for (SegmentChoices& seg : horizon) {
+    std::size_t max_frame = 0;
+    double max_qo = 0.0;
+    for (const QualityOption& option : seg.options) {
+      max_frame = std::max(max_frame, option.frame_index);
+      max_qo = std::max(max_qo, option.qo);
+    }
+    QualityOption& pick = seg.options[rng.uniform_index(seg.options.size())];
+    pick.frame_index = max_frame;
+    pick.bytes = rng.uniform(0.1, 0.9) * bandwidth * config_.segment_seconds;
+    pick.qo = max_qo + 1.0;
+    ASSERT_EQ(eps_feasible_count(seg, bandwidth, config_), 1u);
+  }
+  for (const double buffer : every_bucket_level(config_))
+    expect_same_decision(controller, horizon, bandwidth, buffer,
+                         "seed " + std::to_string(GetParam()) + " buffer " +
+                             std::to_string(buffer));
+}
+
+TEST_P(EnergyCorners, StrictPassInfeasibleForEveryOption) {
+  util::Rng rng(util::derive_seed(0x1FEAu, static_cast<std::uint64_t>(GetParam())));
+  config_.epsilon = 0.2;
+  const MpcController controller(config_, device_,
+                                 MpcObjective::kMinEnergyQoEConstrained);
+  const auto horizon = random_horizon(rng, 1 + rng.uniform_index(4), 6);
+  // Every option takes longer to download than the fullest bucket holds at
+  // request time (β = 3 s), so the strict pass dies at its first step from
+  // any start and the relaxed fallback must match the exhaustive one.
+  double min_bytes = 1e300;
+  for (const SegmentChoices& seg : horizon)
+    for (const QualityOption& option : seg.options)
+      min_bytes = std::min(min_bytes, option.bytes);
+  const double bandwidth = min_bytes / rng.uniform(3.5, 8.0);
+  for (const double buffer : every_bucket_level(config_)) {
+    const std::string where =
+        "seed " + std::to_string(GetParam()) + " buffer " + std::to_string(buffer);
+    expect_same_decision(controller, horizon, bandwidth, buffer, where);
+    EXPECT_FALSE(controller
+                     .decide(horizon, util::BytesPerSec(bandwidth),
+                             util::Seconds(buffer), -1.0)
+                     .feasible)
+        << where;
+  }
+}
+
+TEST_P(EnergyCorners, DuplicatedOptionsTieAcrossBucketsAndRoots) {
+  util::Rng rng(util::derive_seed(0xD0Bu, static_cast<std::uint64_t>(GetParam())));
+  config_.epsilon = 0.2;
+  // A radio that draws no power makes an option's energy depend on its
+  // frame rate and decode profile only, so options that differ only in
+  // size cost exactly the same and still land in different buckets.
+  power::DeviceModel free_radio = device_;
+  free_radio.transmit_mw = 0.0;
+  // Each option also appears twice (equal costs, different roots), and
+  // every segment is the same ladder. The copies carry a quality label of
+  // their own, which neither solver reads (energy depends on bytes, fps and
+  // profile; constraint (8c) on Qo and the frame index), so a decision
+  // naming the wrong copy is caught.
+  SegmentChoices seg = random_horizon(rng, 1, 8)[0];
+  std::vector<QualityOption> copies = seg.options;
+  for (QualityOption& option : copies) option.quality += 5;
+  seg.options.insert(seg.options.begin() +
+                         static_cast<std::ptrdiff_t>(rng.uniform_index(copies.size() + 1)),
+                     copies.begin(), copies.end());
+  const std::vector<SegmentChoices> horizon(2 + rng.uniform_index(2), seg);
+  const double bandwidth = rng.uniform(2e5, 3e6);
+  const power::DeviceModel* const devices[] = {&device_, &free_radio};
+  for (const power::DeviceModel* device : devices) {
+    const MpcController controller(config_, *device,
+                                   MpcObjective::kMinEnergyQoEConstrained);
+    for (const double buffer : every_bucket_level(config_))
+      expect_same_decision(controller, horizon, bandwidth, buffer,
+                           "seed " + std::to_string(GetParam()) + " device " +
+                               device->name + " transmit_mw " +
+                               std::to_string(device->transmit_mw) + " buffer " +
+                               std::to_string(buffer));
+  }
+}
+
+TEST_P(EnergyCorners, EveryStartBucketOnEveryGrid) {
+  util::Rng rng(util::derive_seed(0xB0Cu, static_cast<std::uint64_t>(GetParam())));
+  const double quanta[] = {0.5, 0.6, 0.75};
+  config_.buffer_quantum_s = quanta[rng.uniform_index(3)];
+  const double epsilons[] = {0.0, 0.05, 0.2};
+  config_.epsilon = epsilons[rng.uniform_index(3)];
+  const MpcController controller(config_, device_,
+                                 MpcObjective::kMinEnergyQoEConstrained);
+  const auto horizon = random_horizon(rng, 1 + rng.uniform_index(4), 6);
+  const double bandwidth = rng.uniform(5e4, 2e6);
+  for (const double buffer : every_bucket_level(config_))
+    expect_same_decision(controller, horizon, bandwidth, buffer,
+                         "seed " + std::to_string(GetParam()) + " buffer " +
+                             std::to_string(buffer));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, EnergyCorners, ::testing::Range(0, 25));
 
 // ------------------------------------------------- Scratch arena contract
 

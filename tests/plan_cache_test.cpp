@@ -306,11 +306,12 @@ std::vector<SegmentChoices> fixed_horizon(std::size_t h, std::size_t options_n,
 
 TEST(ScratchGrowAccounting, FirstDecideCountsEveryVectorThatGrows) {
   // Each vector that grows within one decide() is its own growth event. The
-  // arena has 16 vectors on the energy path (8 precompute/transition + 2
-  // transition-memo keys + 6 frontier) and 15 on the kMaxQoE path (no
-  // cand_cost), all growing from empty on the first call — so the first-call
-  // count is pinned exactly, not just "positive". A lumped per-call counter
-  // would report 1 here.
+  // arena has 11 vectors on the energy path (5 per-option/per-bucket
+  // invariants + 6 frontier; its sparse sweep computes transitions inline)
+  // and 15 on the kMaxQoE path (the same 11 plus the two per-step transition
+  // tables and their two memo-key vectors), all growing from empty on the
+  // first call — so the first-call count is pinned exactly, not just
+  // "positive". A lumped per-call counter would report 1 here.
   const MpcConfig config;
   const power::DeviceModel& device = power::device_model(Device::kPixel3);
   const auto horizon = fixed_horizon(5, 8, 3);
@@ -318,7 +319,7 @@ TEST(ScratchGrowAccounting, FirstDecideCountsEveryVectorThatGrows) {
   const MpcController energy(config, device,
                              MpcObjective::kMinEnergyQoEConstrained);
   (void)energy.decide(horizon, util::BytesPerSec(5e5), util::Seconds(2.5), 50.0);
-  EXPECT_EQ(energy.scratch_grow_events(), 16u);
+  EXPECT_EQ(energy.scratch_grow_events(), 11u);
 
   const MpcController qoe(config, device, MpcObjective::kMaxQoE);
   (void)qoe.decide(horizon, util::BytesPerSec(5e5), util::Seconds(2.5), 50.0);
@@ -339,26 +340,25 @@ TEST(ScratchGrowAccounting, SteadyStateIsZeroAndDeeperHorizonGrowsPerSegmentVect
     (void)controller.decide(h5, util::BytesPerSec(5e5), util::Seconds(2.5), 50.0);
   EXPECT_EQ(controller.scratch_grow_events(), after_warm);
 
-  // Doubling the horizon (same option count) grows exactly the eight
-  // h-scaled vectors: step_cost, download_s, eps_ok, q_ref, plus the
-  // per-step transition tables and their memo keys (next_bucket, stall_s,
-  // table_key_hi, table_key_lo). Buckets and max_options are unchanged, so
-  // the frontier stays put.
+  // Doubling the horizon (same option count) grows exactly the four
+  // h-scaled vectors of the energy path: step_cost, download_s, eps_ok and
+  // q_ref. Buckets and max_options are unchanged, so at_request_s and the
+  // frontier stay put.
   const auto h10 = fixed_horizon(10, 8, 3);
   (void)controller.decide(h10, util::BytesPerSec(5e5), util::Seconds(2.5), 50.0);
-  EXPECT_EQ(controller.scratch_grow_events(), after_warm + 8u);
+  EXPECT_EQ(controller.scratch_grow_events(), after_warm + 4u);
 }
 
 TEST(ScratchGrowAccounting, TransitionTableMemoSkipsRepeatFills) {
-  // The per-step transition tables are memoized on exact input bits, so an
-  // identical decide() refills nothing, and changing the bandwidth (which
-  // changes every download-time row) refills everything. The decide ≡
-  // decide_exhaustive and plan-cache differentials pin that skipping the
-  // fill never changes a decision.
+  // The kMaxQoE per-step transition tables are memoized on exact input
+  // bits, so an identical decide() refills nothing, and changing the
+  // bandwidth (which changes every download-time row) refills everything.
+  // The decide ≡ decide_exhaustive and plan-cache differentials pin that
+  // skipping the fill never changes a decision. kMaxQoE is the memo's only
+  // user: the energy objective computes its transitions inline.
   const MpcConfig config;
   const power::DeviceModel& device = power::device_model(Device::kPixel3);
-  const MpcController controller(config, device,
-                                 MpcObjective::kMinEnergyQoEConstrained);
+  const MpcController controller(config, device, MpcObjective::kMaxQoE);
   const auto horizon = fixed_horizon(5, 8, 3);
 
   (void)controller.decide(horizon, util::BytesPerSec(5e5), util::Seconds(2.5), 50.0);
@@ -377,12 +377,20 @@ TEST(ScratchGrowAccounting, TransitionTableMemoSkipsRepeatFills) {
   (void)controller.decide(horizon, util::BytesPerSec(4e5), util::Seconds(2.5), 50.0);
   EXPECT_GT(controller.scratch_table_fills(), fills_warm);
 
-  // A hopeless horizon runs strict then relaxed over the same tables: the
-  // fallback pass hits at least the slot the strict pass filled.
-  const MpcController fallback(config, device,
-                               MpcObjective::kMinEnergyQoEConstrained);
+  // A hopeless horizon has no strict pass in kMaxQoE, so its second solve
+  // is what hits: the repeat reuses at least the slot the first one filled.
+  const MpcController fallback(config, device, MpcObjective::kMaxQoE);
+  (void)fallback.decide(horizon, util::BytesPerSec(1e3), util::Seconds(0.0), 50.0);
   (void)fallback.decide(horizon, util::BytesPerSec(1e3), util::Seconds(0.0), 50.0);
   EXPECT_GE(fallback.scratch_table_fill_hits(), 1u);
+
+  // The energy objective never fills a table.
+  const MpcController energy(config, device,
+                             MpcObjective::kMinEnergyQoEConstrained);
+  (void)energy.decide(horizon, util::BytesPerSec(5e5), util::Seconds(2.5), 50.0);
+  (void)energy.decide(horizon, util::BytesPerSec(1e3), util::Seconds(0.0), 50.0);
+  EXPECT_EQ(energy.scratch_table_fills(), 0u);
+  EXPECT_EQ(energy.scratch_table_fill_hits(), 0u);
 }
 
 // -------------------------------------------- session/fleet differential

@@ -7,6 +7,8 @@
 //     ViewportPredictor::predict against full-scan copies of their previous
 //     implementations, on random windows that start before the first sample,
 //     end past the last, or sit exactly on sample timestamps;
+//   * switching_speed read from HeadTrace step tables against the same
+//     full scan, on every test trace of the full-length workload;
 //   * the per-segment Ftile split against the per-quality split it replaced;
 //   * util::SmallRidge against util::ridge_solve.
 #include <gtest/gtest.h>
@@ -400,6 +402,86 @@ TEST(WindowedScanTest, WorkloadTracesMatchFullScans) {
     const EquirectPoint q = predict_full_scan(predictor.config(), trace, t0, t0 + 1.5);
     ASSERT_EQ(bits(p.x), bits(q.x));
     ASSERT_EQ(bits(p.y), bits(q.y));
+  }
+}
+
+// The windows switching_speed must handle exactly, on one trace: no sample
+// strictly inside, starting before the first sample, ending past the last,
+// both endpoints on sample timestamps, and one of them on a sample.
+std::vector<std::pair<double, double>> edge_windows(const HeadTrace& trace) {
+  const auto& s = trace.samples();
+  const std::size_t n = s.size();
+  const std::size_t mid = n / 2;
+  return {
+      {s[mid].t, s[mid + 1].t},                          // on samples, none inside
+      {s[mid].t + 1e-4, s[mid + 1].t - 1e-4},            // between two samples
+      {s[mid].t, s[mid].t + 1e-6},                       // starts on a sample
+      {s[mid + 1].t - 1e-6, s[mid + 1].t},               // ends on a sample
+      {s.front().t - 2.0, s.front().t + 0.5},            // before the first sample
+      {s.front().t - 2.0, s.front().t - 1.0},            // wholly before it
+      {s.back().t - 0.5, s.back().t + 2.0},              // past the last sample
+      {s.back().t + 1.0, s.back().t + 2.0},              // wholly past it
+      {s.front().t, s.back().t},                         // every sample, on both ends
+      {s[mid].t, s[std::min(mid + 50, n - 1)].t},        // 1 s at 50 Hz, on samples
+  };
+}
+
+TEST(StepTableTest, TestTracesOfTheFullVideoMatchTheFullScan) {
+  // Every trace the sessions replay, on the accountant's segment windows,
+  // the client's trailing history windows, the edge windows above and
+  // random windows — read from the step tables, bit for bit the full scan.
+  const VideoWorkload& workload = full_video();
+  ASSERT_EQ(workload.test_user_count(), 8u);
+  const predict::ViewportPredictor predictor;
+  util::Rng rng(13);
+  for (std::size_t u = 0; u < workload.test_user_count(); ++u) {
+    const HeadTrace& trace = workload.test_trace(u);
+    ASSERT_TRUE(trace.has_step_table()) << "test user " << u;
+    std::vector<std::pair<double, double>> windows = edge_windows(trace);
+    for (std::size_t k = 0; k < workload.segment_count(); ++k) {
+      const double t0 = static_cast<double>(k);
+      windows.emplace_back(t0, std::min(t0 + 1.0, trace.duration()));
+      const double now = t0 + 0.5;
+      windows.emplace_back(std::max(now - predictor.config().history_seconds, 0.0),
+                           now);
+    }
+    for (int w = 0; w < 200; ++w) windows.push_back(random_window(rng, trace));
+    for (const auto& [t0, t1] : windows) {
+      if (!(t1 > t0)) continue;
+      ASSERT_EQ(bits(trace.switching_speed(t0, t1)),
+                bits(switching_speed_full_scan(trace, t0, t1)))
+          << "test user " << u << " [" << t0 << ", " << t1 << "]";
+    }
+  }
+}
+
+TEST(StepTableTest, TrainingTracesCarryNoTable) {
+  const VideoWorkload& workload = full_video();
+  for (std::size_t u = 0; u < workload.config().n_training_users; ++u)
+    EXPECT_FALSE(workload.user_trace(u).has_step_table()) << "training user " << u;
+  for (std::size_t u = workload.config().n_training_users;
+       u < workload.config().n_users; ++u)
+    EXPECT_TRUE(workload.user_trace(u).has_step_table()) << "test user " << u;
+}
+
+TEST(StepTableTest, TabledAndUntabledTracesAgreeOnRandomTraces) {
+  util::Rng rng(14);
+  for (int trial = 0; trial < 20; ++trial) {
+    const HeadTrace plain = random_trace(rng, rng.uniform(2.0, 40.0));
+    HeadTrace tabled = plain;
+    tabled.build_step_table();
+    ASSERT_FALSE(plain.has_step_table());
+    ASSERT_TRUE(tabled.has_step_table());
+    std::vector<std::pair<double, double>> windows = edge_windows(plain);
+    for (int w = 0; w < 100; ++w) windows.push_back(random_window(rng, plain));
+    for (const auto& [t0, t1] : windows) {
+      if (!(t1 > t0)) continue;
+      const double expected = switching_speed_full_scan(plain, t0, t1);
+      ASSERT_EQ(bits(tabled.switching_speed(t0, t1)), bits(expected))
+          << "[" << t0 << ", " << t1 << "]";
+      ASSERT_EQ(bits(plain.switching_speed(t0, t1)), bits(expected))
+          << "[" << t0 << ", " << t1 << "]";
+    }
   }
 }
 
