@@ -1,12 +1,13 @@
 // google-benchmark microbenchmarks for the hot algorithmic pieces: the MPC
 // dynamic program (O(H V F) per decision, Section IV-C), whole-plan horizon
-// construction per controller, Algorithm 1 clustering, the ridge-regression
-// viewport predictor, the Eq. 5 switching-speed scans, and the encoding
-// model.
+// construction per controller, Ftile layouts and whole-workload set-up,
+// Algorithm 1 clustering, the ridge-regression viewport predictor, the Eq. 5
+// switching-speed scans, and the encoding model.
 //
-// The MPC, plan-horizon and switching-speed rows are the repo's tracked perf
-// trajectory: CI (and any local run) emits machine-readable results with
-//   bench_micro_solver --benchmark_filter='BM_Mpc|BM_PlanHorizon|BM_SwitchingSpeed'
+// The MPC, plan-horizon, switching-speed and set-up (Ftile layout, whole
+// workload) rows are the repo's tracked perf trajectory: CI (and any local
+// run) emits machine-readable results with
+//   bench_micro_solver --benchmark_filter='BM_Mpc|BM_PlanHorizon|BM_SwitchingSpeed|BM_FtileLayout|BM_VideoWorkloadSetup'
 //     --benchmark_min_time=0.05
 //     --benchmark_out=BENCH_mpc.json --benchmark_out_format=json
 // and tools/bench_report.py renders the summary/speedup table against the
@@ -22,6 +23,7 @@
 #include "predict/viewport_predictor.h"
 #include "ptile/clusterer.h"
 #include "sim/accounting.h"
+#include "sim/workload.h"
 #include "trace/head_synth.h"
 #include "trace/video_catalog.h"
 #include "util/rng.h"
@@ -164,6 +166,37 @@ void BM_PlanHorizon(benchmark::State& state, sim::SchemeKind kind) {
 BENCHMARK_CAPTURE(BM_PlanHorizon, Ctile, sim::SchemeKind::kCtile);
 BENCHMARK_CAPTURE(BM_PlanHorizon, Ftile, sim::SchemeKind::kFtile);
 BENCHMARK_CAPTURE(BM_PlanHorizon, Ours, sim::SchemeKind::kOurs);
+
+// One Ftile layout per iteration: view density over the 450 blocks from
+// the 40 training centres of one segment of the 172 s test video 2, then
+// k-means into ten tiles. Cycles through the segments.
+void BM_FtileLayout(benchmark::State& state) {
+  static const sim::VideoWorkload workload(trace::test_videos()[1], sim::WorkloadConfig{});
+  ptile::FtileLayoutConfig config = workload.config().ftile;
+  config.seed = workload.config().seed;
+  config.fov_deg = workload.config().fov_deg;
+  std::size_t k = 0;
+  for (auto _ : state) {
+    const ptile::FtileLayout layout(workload.training_centers(k), config);
+    benchmark::DoNotOptimize(layout.tile_count());
+    k = (k + 1) % workload.segment_count();
+  }
+}
+BENCHMARK(BM_FtileLayout);
+
+// One full set-up of the 172 s test video 2 per iteration: head synthesis,
+// Ptile Algorithm 1 and every segment's Ftile layout (forced, as a run with
+// the Ftile baseline does).
+void BM_VideoWorkloadSetup(benchmark::State& state) {
+  const trace::VideoInfo video = trace::test_videos()[1];
+  for (auto _ : state) {
+    const sim::VideoWorkload workload(video, sim::WorkloadConfig{});
+    benchmark::DoNotOptimize(workload.ftile(0).tile_count());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(video::segment_count(video, 1.0)));
+}
+BENCHMARK(BM_VideoWorkloadSetup)->Unit(benchmark::kMillisecond);
 
 void BM_Clustering(benchmark::State& state) {
   util::Rng rng(11);

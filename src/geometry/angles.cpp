@@ -7,32 +7,6 @@
 
 namespace ps360::geometry {
 
-namespace {
-
-// Internal double-valued wrap; the typed wrap360 below is the public face.
-double wrap360_value(double deg) {
-  double w = std::fmod(deg, kDegreesPerTurn);
-  if (w < 0.0) w += kDegreesPerTurn;
-  // fmod of a value just below a multiple of 360 can round to exactly 360.
-  if (w >= kDegreesPerTurn) w = 0.0;
-  return w;
-}
-
-}  // namespace
-
-Degrees wrap360(Degrees deg) { return Degrees(wrap360_value(deg.value())); }
-
-Degrees wrap_delta(Degrees a, Degrees b) {
-  double d = std::fmod(a.value() - b.value(), kDegreesPerTurn);
-  if (d > 180.0) d -= kDegreesPerTurn;
-  if (d <= -180.0) d += kDegreesPerTurn;
-  return Degrees(d);
-}
-
-Degrees circular_distance(Degrees a, Degrees b) {
-  return Degrees(std::fabs(wrap_delta(a, b).value()));
-}
-
 double Vec3::dot(const Vec3& other) const {
   return x * other.x + y * other.y + z * other.z;
 }

@@ -1,7 +1,6 @@
 #include "geometry/viewport.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/check.h"
 
@@ -15,12 +14,6 @@ EquirectPoint EquirectPoint::make(Degrees lon, Degrees colat) {
 
 Vec3 EquirectPoint::orientation() const {
   return orientation_vector(Degrees(x), Degrees(y));
-}
-
-double wrapped_distance(const EquirectPoint& a, const EquirectPoint& b) {
-  const double dx = circular_distance(Degrees(a.x), Degrees(b.x)).value();
-  const double dy = a.y - b.y;
-  return std::sqrt(dx * dx + dy * dy);
 }
 
 Degrees angular_distance(const EquirectPoint& a, const EquirectPoint& b) {

@@ -5,6 +5,7 @@
 // util/units.h.
 #pragma once
 
+#include <cmath>
 #include <vector>
 
 #include "geometry/angles.h"
@@ -31,7 +32,12 @@ struct EquirectPoint {
 // the dist(u, n) used by the Ptile clustering (Algorithm 1): the paper
 // clusters (x, y) viewing centers with Euclidean distance; we additionally
 // honour the x wraparound so that centers at 359 and 1 degree are close.
-double wrapped_distance(const EquirectPoint& a, const EquirectPoint& b);
+// Inline for the k-means inner loop (see the note above wrap360).
+inline double wrapped_distance(const EquirectPoint& a, const EquirectPoint& b) {
+  const double dx = circular_distance(Degrees(a.x), Degrees(b.x)).value();
+  const double dy = a.y - b.y;
+  return std::sqrt(dx * dx + dy * dy);
+}
 
 // Angular (great-circle) distance between two viewing centers.
 Degrees angular_distance(const EquirectPoint& a, const EquirectPoint& b);

@@ -20,32 +20,38 @@ FtileLayout::FtileLayout(const std::vector<EquirectPoint>& centers,
   PS360_CHECK(config.tile_count >= 1);
   const std::size_t n_blocks = blocks_.tile_count();
   PS360_CHECK(config.tile_count <= n_blocks);
+  PS360_CHECK_MSG(config.fov_deg > 0.0 && config.fov_deg <= 180.0,
+                  "Ftile fov_deg must lie in (0, 180]");
 
-  // Block centers and view-density weights.
-  std::vector<EquirectPoint> block_centers;
-  std::vector<double> weights;
-  block_centers.reserve(n_blocks);
-  weights.reserve(n_blocks);
+  // The block-centre lattice: a centre's longitude depends only on its
+  // column and its colatitude only on its row.
+  for (std::size_t c = 0; c < blocks_.cols(); ++c) {
+    const auto area = blocks_.tile_area(TileIndex{0, c});
+    block_center_x_[c] =
+        geometry::wrap360(geometry::Degrees(area.lon.lo + area.lon.width / 2.0)).value();
+  }
   for (std::size_t r = 0; r < blocks_.rows(); ++r) {
-    for (std::size_t c = 0; c < blocks_.cols(); ++c) {
-      const auto area = blocks_.tile_area(TileIndex{r, c});
-      const EquirectPoint center{
-          geometry::wrap360(geometry::Degrees(area.lon.lo + area.lon.width / 2.0)).value(),
-          (area.y_lo + area.y_hi) / 2.0};
-      block_centers.push_back(center);
-      if (r == 0) block_center_x_[c] = center.x;
-      if (c == 0) block_center_y_[r] = center.y;
-      double views = 0.0;
-      for (const auto& user_center : centers) {
-        if (Viewport(user_center, geometry::Degrees(config.fov_deg),
-                     geometry::Degrees(config.fov_deg))
-                .contains(center))
-          views += 1.0;
-      }
-      // +1 keeps unwatched blocks clusterable; view-dense blocks dominate
-      // centroid placement so the hot region gets fine tiles.
-      weights.push_back(1.0 + views);
-    }
+    const auto area = blocks_.tile_area(TileIndex{r, 0});
+    block_center_y_[r] = (area.y_lo + area.y_hi) / 2.0;
+  }
+  std::vector<EquirectPoint> block_centers;
+  block_centers.reserve(n_blocks);
+  for (std::size_t r = 0; r < blocks_.rows(); ++r) {
+    for (std::size_t c = 0; c < blocks_.cols(); ++c)
+      block_centers.push_back(EquirectPoint{block_center_x_[c], block_center_y_[r]});
+  }
+
+  // View density: 1 plus the number of training viewports that hold the
+  // block centre. The +1 keeps unwatched blocks clusterable; view-dense
+  // blocks dominate centroid placement so the hot region gets fine tiles.
+  // One viewport per user, each counted through for_each_block_in (exactly
+  // Viewport::contains on the lattice); the sums are small integers, so
+  // they are exact in any order.
+  std::vector<double> weights(n_blocks, 1.0);
+  for (const auto& user_center : centers) {
+    const Viewport viewport(user_center, geometry::Degrees(config.fov_deg),
+                            geometry::Degrees(config.fov_deg));
+    for_each_block_in(viewport.area(), [&weights](std::size_t b) { weights[b] += 1.0; });
   }
 
   util::Rng rng(util::derive_seed(config.seed, 0xF71E5ULL));

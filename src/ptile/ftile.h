@@ -38,7 +38,10 @@ struct FtileSplit {
 class FtileLayout {
  public:
   // Build the layout for one segment from the training users' viewing
-  // centers.
+  // centers. Each block is weighted by 1 plus the number of training
+  // viewports (config.fov_deg square) that hold its centre, counted with one
+  // Viewport per user over the block-centre lattice. Throws when fov_deg is
+  // not in (0, 180], with or without training centers.
   FtileLayout(const std::vector<geometry::EquirectPoint>& centers,
               const FtileLayoutConfig& config);
 
@@ -68,13 +71,15 @@ class FtileLayout {
                   const std::vector<std::size_t>& tile_ids) const;
 
  private:
-  // Calls fn(b) for every block b (row-major) whose centre lies in `area`.
+  // Calls fn(b) for every block b (row-major) whose centre lies in `area`:
+  // exactly area.contains(centre), tested once per column and once per row.
   template <typename Fn>
   void for_each_block_in(const geometry::EquirectRect& area, Fn&& fn) const;
 
   geometry::TileGrid blocks_;
   // Block centres lie on a lattice: the longitude depends only on the
-  // column and the latitude only on the row. Computed at construction.
+  // column and the latitude only on the row. Computed first thing at
+  // construction; the view-density count already scans it.
   std::vector<double> block_center_x_;  // per column
   std::vector<double> block_center_y_;  // per row
   std::vector<std::vector<geometry::TileIndex>> tile_blocks_;

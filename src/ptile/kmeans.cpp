@@ -16,17 +16,38 @@ std::vector<std::vector<std::size_t>> KMeansResult::groups() const {
   return out;
 }
 
-EquirectPoint centroid(const std::vector<EquirectPoint>& points,
-                       const std::vector<std::size_t>& member_indices,
-                       const std::vector<double>& weights) {
+namespace {
+
+double weight_of(const std::vector<double>& weights, std::size_t i) {
+  return weights.empty() ? 1.0 : weights[i];
+}
+
+// cos and sin of a point's longitude, the terms of the circular mean.
+struct LonTrig {
+  double cos = 1.0;
+  double sin = 0.0;
+};
+
+LonTrig lon_trig(const EquirectPoint& p) {
+  const double rad = geometry::to_radians(geometry::Degrees(p.x)).value();
+  return LonTrig{std::cos(rad), std::sin(rad)};
+}
+
+// The one centroid implementation. `trig_of(i)` is lon_trig(points[i]):
+// computed on the spot by the public centroid(), read from a per-call table
+// by the Lloyd loop, which needs it for every point on every iteration.
+template <typename TrigOf>
+EquirectPoint centroid_of(const std::vector<EquirectPoint>& points,
+                          const std::vector<std::size_t>& member_indices,
+                          const std::vector<double>& weights, TrigOf&& trig_of) {
   PS360_CHECK(!member_indices.empty());
   double sx = 0.0, sy = 0.0, y_sum = 0.0, w_sum = 0.0;
   for (std::size_t idx : member_indices) {
     PS360_CHECK(idx < points.size());
-    const double w = weights.empty() ? 1.0 : weights[idx];
-    const double rad = geometry::to_radians(geometry::Degrees(points[idx].x)).value();
-    sx += w * std::cos(rad);
-    sy += w * std::sin(rad);
+    const double w = weight_of(weights, idx);
+    const LonTrig trig = trig_of(idx);
+    sx += w * trig.cos;
+    sy += w * trig.sin;
     y_sum += w * points[idx].y;
     w_sum += w;
   }
@@ -41,12 +62,6 @@ EquirectPoint centroid(const std::vector<EquirectPoint>& points,
   return EquirectPoint{x, std::clamp(y_sum / w_sum, 0.0, 180.0)};
 }
 
-namespace {
-
-double weight_of(const std::vector<double>& weights, std::size_t i) {
-  return weights.empty() ? 1.0 : weights[i];
-}
-
 KMeansResult lloyd_iterate(const std::vector<EquirectPoint>& points,
                            const std::vector<double>& weights,
                            std::vector<EquirectPoint> centroids,
@@ -54,6 +69,11 @@ KMeansResult lloyd_iterate(const std::vector<EquirectPoint>& points,
   const std::size_t k = centroids.size();
   KMeansResult result;
   result.assignment.assign(points.size(), 0);
+  std::vector<LonTrig> trig;
+  trig.reserve(points.size());
+  for (const EquirectPoint& p : points) trig.push_back(lon_trig(p));
+  const auto trig_of = [&trig](std::size_t i) { return trig[i]; };
+  std::vector<std::vector<std::size_t>> members(k);
 
   for (std::size_t iter = 0; iter < max_iterations; ++iter) {
     bool changed = false;
@@ -75,11 +95,12 @@ KMeansResult lloyd_iterate(const std::vector<EquirectPoint>& points,
     if (!changed && iter > 0) break;
 
     // Recompute centroids; an emptied cluster keeps its previous centroid.
-    std::vector<std::vector<std::size_t>> members(k);
+    for (auto& m : members) m.clear();
     for (std::size_t i = 0; i < points.size(); ++i)
       members[result.assignment[i]].push_back(i);
     for (std::size_t c = 0; c < k; ++c) {
-      if (!members[c].empty()) centroids[c] = centroid(points, members[c], weights);
+      if (!members[c].empty())
+        centroids[c] = centroid_of(points, members[c], weights, trig_of);
     }
   }
 
@@ -95,11 +116,21 @@ KMeansResult lloyd_iterate(const std::vector<EquirectPoint>& points,
 
 }  // namespace
 
+EquirectPoint centroid(const std::vector<EquirectPoint>& points,
+                       const std::vector<std::size_t>& member_indices,
+                       const std::vector<double>& weights) {
+  return centroid_of(points, member_indices, weights,
+                     [&points](std::size_t i) { return lon_trig(points[i]); });
+}
+
 KMeansResult kmeans(const std::vector<EquirectPoint>& points,
                     const std::vector<double>& weights, std::size_t k,
                     util::Rng& rng, std::size_t max_iterations) {
   PS360_CHECK(k >= 1 && k <= points.size());
   PS360_CHECK(weights.empty() || weights.size() == points.size());
+  for (const double w : weights)
+    PS360_CHECK_MSG(std::isfinite(w) && w >= 0.0,
+                    "kmeans weights must be finite and non-negative");
 
   // k-means++ seeding on weighted squared distances.
   std::vector<EquirectPoint> seeds;

@@ -8,7 +8,9 @@
 //                      used by Algorithm 1 to split an oversized cluster.
 //
 // Centroids use the circular mean on x and the plain mean on y; distances
-// are geometry::wrapped_distance.
+// are geometry::wrapped_distance, inline and fmod-free for in-range inputs
+// (see geometry/angles.h). A clustering call computes each point's cos/sin
+// once; the Lloyd loop and centroid() share one centroid implementation.
 #pragma once
 
 #include <cstddef>
@@ -29,8 +31,8 @@ struct KMeansResult {
 };
 
 // Weighted k-means. `weights` may be empty (all ones) or match points'
-// size with non-negative entries (at least k strictly positive). Requires
-// 1 <= k <= #points.
+// size with finite, non-negative entries (at least k strictly positive);
+// a negative or non-finite weight throws. Requires 1 <= k <= #points.
 KMeansResult kmeans(const std::vector<geometry::EquirectPoint>& points,
                     const std::vector<double>& weights, std::size_t k,
                     util::Rng& rng, std::size_t max_iterations = 100);

@@ -69,6 +69,10 @@ std::vector<AttractorPath> HeadTraceSynthesizer::attractors(const VideoInfo& vid
 
 namespace {
 
+std::size_t sample_count(const HeadSynthConfig& config, const VideoInfo& video) {
+  return static_cast<std::size_t>(std::ceil(video.duration_s * config.sample_rate_hz)) + 1;
+}
+
 // Pick an attractor index by popularity weight.
 std::size_t pick_attractor(const std::vector<AttractorPath>& paths, util::Rng& rng) {
   double total = 0.0;
@@ -83,27 +87,33 @@ std::size_t pick_attractor(const std::vector<AttractorPath>& paths, util::Rng& r
 
 }  // namespace
 
-HeadTrace HeadTraceSynthesizer::synthesize(const VideoInfo& video, int user_id) const {
-  const auto paths = attractors(video);
-  util::Rng rng(util::derive_seed(config_.seed,
+namespace {
+
+// One user's trace. `path_at(a, i)` is attractor a's position at sample i,
+// paths[a].at(i * dt): evaluated on the spot for a single user, read from a
+// table that synthesize_all fills once for all of them.
+template <typename PathAt>
+HeadTrace synthesize_user(const HeadSynthConfig& config, const VideoInfo& video,
+                          int user_id, const std::vector<AttractorPath>& paths,
+                          PathAt&& path_at) {
+  util::Rng rng(util::derive_seed(config.seed,
                                   static_cast<std::uint64_t>(video.id) * 977 + 13,
                                   0x5EEDULL + static_cast<std::uint64_t>(user_id)));
 
   const double offset_sigma =
-      video.focused ? config_.offset_sigma_focused : config_.offset_sigma_free;
+      video.focused ? config.offset_sigma_focused : config.offset_sigma_free;
   const double dwell_mean =
-      video.focused ? config_.dwell_mean_focused : config_.dwell_mean_free;
+      video.focused ? config.dwell_mean_focused : config.dwell_mean_free;
   const double explore_prob =
-      video.focused ? config_.explore_prob_focused : config_.explore_prob_free;
+      video.focused ? config.explore_prob_focused : config.explore_prob_free;
 
   // Stable personal gaze offset: users in the same cluster look at nearby
   // but distinct points.
   const double offset_x = rng.normal(0.0, offset_sigma);
   const double offset_y = rng.normal(0.0, offset_sigma * 0.7);
 
-  const double dt = 1.0 / config_.sample_rate_hz;
-  const std::size_t n_samples =
-      static_cast<std::size_t>(std::ceil(video.duration_s * config_.sample_rate_hz)) + 1;
+  const double dt = 1.0 / config.sample_rate_hz;
+  const std::size_t n_samples = sample_count(config, video);
 
   // Attention state machine.
   bool exploring = false;
@@ -112,7 +122,7 @@ HeadTrace HeadTraceSynthesizer::synthesize(const VideoInfo& video, int user_id) 
   double next_decision_t = rng.exponential(dwell_mean);
 
   // Gaze state: start on the initial target.
-  EquirectPoint pos = paths[target_attractor].at(0.0);
+  EquirectPoint pos = path_at(target_attractor, 0);
   pos.x = geometry::wrap360(geometry::Degrees(pos.x + offset_x)).value();
   pos.y = std::clamp(pos.y + offset_y, 0.0, 180.0);
 
@@ -127,7 +137,7 @@ HeadTrace HeadTraceSynthesizer::synthesize(const VideoInfo& video, int user_id) 
         exploring = true;
         explore_target = EquirectPoint{rng.uniform(0.0, 360.0),
                                        std::clamp(rng.normal(90.0, 25.0), 10.0, 170.0)};
-        next_decision_t = t + rng.exponential(config_.explore_mean_s);
+        next_decision_t = t + rng.exponential(config.explore_mean_s);
       } else {
         exploring = false;
         target_attractor = pick_attractor(paths, rng);
@@ -139,7 +149,7 @@ HeadTrace HeadTraceSynthesizer::synthesize(const VideoInfo& video, int user_id) 
     if (exploring) {
       target = explore_target;
     } else {
-      target = paths[target_attractor].at(t);
+      target = path_at(target_attractor, i);
       target.x = geometry::wrap360(geometry::Degrees(target.x + offset_x)).value();
       target.y = std::clamp(target.y + offset_y, 0.0, 180.0);
     }
@@ -149,33 +159,59 @@ HeadTrace HeadTraceSynthesizer::synthesize(const VideoInfo& video, int user_id) 
                                               geometry::Degrees(pos.x))
                              .value();
     const double err_y = target.y - pos.y;
-    const double vx = std::clamp(config_.pursuit_gain * err_x, -config_.max_speed_x,
-                                 config_.max_speed_x) +
-                      rng.normal(0.0, config_.velocity_noise);
-    const double vy = std::clamp(config_.pursuit_gain * err_y, -config_.max_speed_y,
-                                 config_.max_speed_y) +
-                      rng.normal(0.0, config_.velocity_noise);
+    const double vx = std::clamp(config.pursuit_gain * err_x, -config.max_speed_x,
+                                 config.max_speed_x) +
+                      rng.normal(0.0, config.velocity_noise);
+    const double vy = std::clamp(config.pursuit_gain * err_y, -config.max_speed_y,
+                                 config.max_speed_y) +
+                      rng.normal(0.0, config.velocity_noise);
     pos.x = geometry::wrap360(geometry::Degrees(pos.x + vx * dt)).value();
     pos.y = std::clamp(pos.y + vy * dt, 0.0, 180.0);
 
     // Recorded sample = true gaze + sensor jitter.
     EquirectPoint recorded{
         geometry::wrap360(
-            geometry::Degrees(pos.x + rng.normal(0.0, config_.sensor_jitter)))
+            geometry::Degrees(pos.x + rng.normal(0.0, config.sensor_jitter)))
             .value(),
-        std::clamp(pos.y + rng.normal(0.0, config_.sensor_jitter), 0.0, 180.0)};
+        std::clamp(pos.y + rng.normal(0.0, config.sensor_jitter), 0.0, 180.0)};
     samples.push_back(HeadSample{t, recorded});
   }
 
   return HeadTrace(video.id, user_id, std::move(samples));
 }
 
+}  // namespace
+
+HeadTrace HeadTraceSynthesizer::synthesize(const VideoInfo& video, int user_id) const {
+  const auto paths = attractors(video);
+  const double dt = 1.0 / config_.sample_rate_hz;
+  return synthesize_user(config_, video, user_id, paths,
+                         [&paths, dt](std::size_t a, std::size_t i) {
+                           return paths[a].at(static_cast<double>(i) * dt);
+                         });
+}
+
 std::vector<HeadTrace> HeadTraceSynthesizer::synthesize_all(const VideoInfo& video,
                                                             std::size_t n_users) const {
+  // Every user pursues the same attractor paths at the same sample times, so
+  // each path is evaluated once per sample here instead of once per sample
+  // and user (two sin calls each).
+  const auto paths = attractors(video);
+  const double dt = 1.0 / config_.sample_rate_hz;
+  const std::size_t n_samples = sample_count(config_, video);
+  std::vector<std::vector<EquirectPoint>> table(paths.size());
+  for (std::size_t a = 0; a < paths.size(); ++a) {
+    table[a].reserve(n_samples);
+    for (std::size_t i = 0; i < n_samples; ++i)
+      table[a].push_back(paths[a].at(static_cast<double>(i) * dt));
+  }
   std::vector<HeadTrace> traces;
   traces.reserve(n_users);
   for (std::size_t u = 0; u < n_users; ++u)
-    traces.push_back(synthesize(video, static_cast<int>(u)));
+    traces.push_back(synthesize_user(config_, video, static_cast<int>(u), paths,
+                                     [&table](std::size_t a, std::size_t i) {
+                                       return table[a][i];
+                                     }));
   return traces;
 }
 

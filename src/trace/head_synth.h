@@ -98,7 +98,8 @@ class HeadTraceSynthesizer {
   // One user's head trace over the full video duration.
   HeadTrace synthesize(const VideoInfo& video, int user_id) const;
 
-  // Traces for users [0, n_users).
+  // Traces for users [0, n_users): bit for bit synthesize(video, u) for
+  // each u, with the attractor paths evaluated once for all users.
   std::vector<HeadTrace> synthesize_all(const VideoInfo& video,
                                         std::size_t n_users) const;
 

@@ -3,7 +3,11 @@
 // tile grid.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "geometry/angles.h"
 #include "geometry/tile_grid.h"
@@ -35,6 +39,87 @@ TEST(AnglesTest, CircularDistanceSymmetric) {
   EXPECT_DOUBLE_EQ(circular_distance(Degrees(10.0), Degrees(350.0)).value(), 20.0);
   EXPECT_DOUBLE_EQ(circular_distance(Degrees(350.0), Degrees(10.0)).value(), 20.0);
   EXPECT_DOUBLE_EQ(circular_distance(Degrees(90.0), Degrees(270.0)).value(), 180.0);
+}
+
+// The wrap helpers as they were before their in-range fast paths: always
+// through std::fmod. The inline helpers must match them bit for bit.
+double wrap360_fmod(double deg) {
+  double w = std::fmod(deg, 360.0);
+  if (w < 0.0) w += 360.0;
+  if (w >= 360.0) w = 0.0;
+  return w;
+}
+
+double wrap_delta_fmod(double a, double b) {
+  double d = std::fmod(a - b, 360.0);
+  if (d > 180.0) d -= 360.0;
+  if (d <= -180.0) d += 360.0;
+  return d;
+}
+
+double circular_distance_fmod(double a, double b) {
+  return std::fabs(wrap_delta_fmod(a, b));
+}
+
+double wrapped_distance_fmod(const EquirectPoint& a, const EquirectPoint& b) {
+  const double dx = circular_distance_fmod(a.x, b.x);
+  const double dy = a.y - b.y;
+  return std::sqrt(dx * dx + dy * dy);
+}
+
+// The bits of a number; every NaN maps to one value. A NaN's sign is not
+// the code's to pin: the compiler may fold fabs(d) * fabs(d) into d * d,
+// which keeps the sign of a NaN d where the unfolded form clears it.
+std::uint64_t bits(double v) {
+  return std::isnan(v) ? 0x7FF8000000000000ULL : std::bit_cast<std::uint64_t>(v);
+}
+
+void expect_wrap_helpers_match_fmod(double a, double b, double ya, double yb) {
+  ASSERT_EQ(bits(wrap360(Degrees(a)).value()), bits(wrap360_fmod(a))) << a;
+  ASSERT_EQ(bits(wrap_delta(Degrees(a), Degrees(b)).value()), bits(wrap_delta_fmod(a, b)))
+      << a << " - " << b;
+  ASSERT_EQ(bits(circular_distance(Degrees(a), Degrees(b)).value()),
+            bits(circular_distance_fmod(a, b)))
+      << a << " - " << b;
+  const EquirectPoint p{a, ya}, q{b, yb};
+  ASSERT_EQ(bits(wrapped_distance(p, q)), bits(wrapped_distance_fmod(p, q)))
+      << "(" << a << ", " << ya << ") - (" << b << ", " << yb << ")";
+}
+
+TEST(AnglesTest, WrapHelpersMatchFmodOnEdgeCases) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double below_360 = std::nextafter(360.0, 0.0);
+  const std::vector<double> edges = {
+      0.0,        -0.0,       360.0,   -360.0,     720.0,       -720.0,
+      below_360,  -below_360, 1e300,   -1e300,     -1e-310,     1e-310,
+      180.0,      -180.0,     359.5,   std::nextafter(-360.0, 0.0),
+      inf,        -inf,       std::nan("")};
+  for (const double a : edges) {
+    for (const double b : edges) expect_wrap_helpers_match_fmod(a, b, 90.0, 45.5);
+  }
+}
+
+TEST(AnglesTest, WrapHelpersMatchFmodOnRandomValues) {
+  util::Rng rng(404);
+  const auto draw = [&rng]() {
+    switch (rng.uniform_index(5)) {
+      case 0: return rng.uniform(0.0, 360.0);
+      case 1: return rng.uniform(-1000.0, 1000.0);
+      case 2: {  // within a few ulps of a multiple of 360
+        double v = 360.0 * static_cast<double>(static_cast<int>(rng.uniform_index(7)) - 3);
+        for (std::uint64_t s = rng.uniform_index(4); s > 0; --s)
+          v = std::nextafter(v, rng.bernoulli(0.5) ? 1e9 : -1e9);
+        return v;
+      }
+      case 3: return rng.uniform(-1e7, 1e7);
+      default: return (rng.bernoulli(0.5) ? 1.0 : -1.0) * std::exp(rng.uniform(-700.0, 700.0));
+    }
+  };
+  for (int i = 0; i < 100000; ++i) {
+    const double a = draw();
+    const double b = draw();
+    expect_wrap_helpers_match_fmod(a, b, rng.uniform(0.0, 180.0), rng.uniform(0.0, 180.0));
+  }
 }
 
 TEST(AnglesTest, OrientationVectorIsUnit) {

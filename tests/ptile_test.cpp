@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <set>
 
 #include "ptile/clusterer.h"
@@ -100,6 +102,21 @@ TEST(KMeansTest, ValidatesArguments) {
   EXPECT_THROW(kmeans(points, {}, 4, rng), std::invalid_argument);
   EXPECT_THROW(kmeans(points, {1.0, 1.0}, 2, rng), std::invalid_argument);
   EXPECT_THROW(kmeans_split2({EquirectPoint::make(geometry::Degrees(0.0), geometry::Degrees(90.0))}), std::invalid_argument);
+}
+
+TEST(KMeansTest, RejectsNegativeOrNonFiniteWeights) {
+  // A negative weight can leave every total positive (so nothing downstream
+  // notices), and an infinite one passes the positive-total check; both are
+  // rejected up front, as is NaN.
+  const auto points = blob(10.0, 90.0, 20.0, 4, 11);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {-1.0, -1e-300, inf, -inf, std::nan("")}) {
+    util::Rng rng(12);
+    EXPECT_THROW(kmeans(points, {1.0, bad, 1.0, 1.0}, 1, rng), std::invalid_argument)
+        << "weight " << bad;
+  }
+  util::Rng rng(12);
+  EXPECT_NO_THROW(kmeans(points, {1.0, 0.0, 1.0, 1.0}, 1, rng));  // zero is allowed
 }
 
 TEST(KMeansTest, KEqualsNPinsEachPoint) {
@@ -406,6 +423,22 @@ TEST(FtileLayoutTest, DeterministicForSeed) {
   const FtileLayout b(centers, FtileLayoutConfig{});
   ASSERT_EQ(a.tile_count(), b.tile_count());
   EXPECT_EQ(a.tile_areas(), b.tile_areas());
+}
+
+TEST(FtileLayoutTest, RejectsBadFovEvenWithoutTrainingCenters) {
+  // The FoV is checked up front, not only by the per-user viewports, so a
+  // segment with no training centres cannot hide a bad configuration.
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto centers = blob(120.0, 90.0, 8.0, 5, 35);
+  for (const double fov : {std::nan(""), 0.0, -10.0, 180.5, 360.0, inf}) {
+    FtileLayoutConfig config;
+    config.fov_deg = fov;
+    EXPECT_THROW(FtileLayout({}, config), std::invalid_argument) << "fov " << fov;
+    EXPECT_THROW(FtileLayout(centers, config), std::invalid_argument) << "fov " << fov;
+  }
+  FtileLayoutConfig config;
+  config.fov_deg = 180.0;
+  EXPECT_NO_THROW(FtileLayout({}, config));
 }
 
 // ----------------------------------------------------------------- Heatmap

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 
@@ -133,6 +135,30 @@ TEST(HeadSynthTest, DeterministicPerSeedAndUser) {
   EXPECT_DOUBLE_EQ(a.samples()[1000].center.x, b.samples()[1000].center.x);
   const HeadTrace c = synth.synthesize(video, 4);
   EXPECT_NE(a.samples()[1000].center.x, c.samples()[1000].center.x);
+}
+
+TEST(HeadSynthTest, SynthesizeAllMatchesPerUserSynthesisBitForBit) {
+  // synthesize_all reads the attractor positions from a table it fills once
+  // for all users; synthesize evaluates them per sample. Same traces.
+  const HeadTraceSynthesizer synth;
+  for (const VideoInfo& video : test_videos()) {
+    const auto all = synth.synthesize_all(video, 6);
+    for (std::size_t u = 0; u < all.size(); ++u) {
+      const HeadTrace one = synth.synthesize(video, static_cast<int>(u));
+      ASSERT_EQ(all[u].samples().size(), one.samples().size());
+      for (std::size_t i = 0; i < one.samples().size(); ++i) {
+        const HeadSample& a = all[u].samples()[i];
+        const HeadSample& b = one.samples()[i];
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(a.t), std::bit_cast<std::uint64_t>(b.t));
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(a.center.x),
+                  std::bit_cast<std::uint64_t>(b.center.x))
+            << "video " << video.id << " user " << u << " sample " << i;
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(a.center.y),
+                  std::bit_cast<std::uint64_t>(b.center.y))
+            << "video " << video.id << " user " << u << " sample " << i;
+      }
+    }
+  }
 }
 
 TEST(HeadSynthTest, CoversVideoDurationAtSampleRate) {
