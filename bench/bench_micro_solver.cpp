@@ -33,8 +33,9 @@ namespace {
 
 using namespace ps360;
 
-std::vector<core::SegmentChoices> make_horizon(std::size_t h, std::size_t options_n) {
-  util::Rng rng(7);
+std::vector<core::SegmentChoices> make_horizon(std::size_t h, std::size_t options_n,
+                                               std::uint64_t seed = 7) {
+  util::Rng rng(seed);
   std::vector<core::SegmentChoices> horizon(h);
   for (auto& seg : horizon) {
     for (std::size_t o = 0; o < options_n; ++o) {
@@ -124,18 +125,34 @@ void BM_MpcDecideCachedHit(benchmark::State& state) {
 }
 BENCHMARK(BM_MpcDecideCachedHit)->Arg(5)->Arg(10)->Arg(20);
 
+// The kMaxQoE sweep (the Ctile/Ftile/Nontile/Pano DP). Each iteration
+// decides the next of a pool of distinct horizons under the next of a pool
+// of bandwidths, from the next start buffer, so the timed path is the sweep
+// on ever-changing inputs rather than one repeated solve. Args: horizon
+// length, options per segment (20 = Pano's quality × frame-rate ladder).
 void BM_MpcDecideQoeMax(benchmark::State& state) {
-  const auto horizon = make_horizon(static_cast<std::size_t>(state.range(0)), 5);
+  constexpr std::size_t kPool = 16;
+  const auto h = static_cast<std::size_t>(state.range(0));
+  const auto options_n = static_cast<std::size_t>(state.range(1));
+  std::vector<std::vector<core::SegmentChoices>> horizons;
+  for (std::size_t p = 0; p < kPool; ++p)
+    horizons.push_back(make_horizon(h, options_n, 100 + p));
+  const double bandwidths[] = {2e5, 4e5, 6e5, 9e5, 1.4e6};
+  const double buffers[] = {0.0, 1.0, 2.5, 3.5};
+  const double prev_qos[] = {-1.0, 30.0, 60.0, 90.0};
   core::MpcConfig config;
   const core::MpcController controller(config,
                                        power::device_model(power::Device::kPixel3),
                                        core::MpcObjective::kMaxQoE);
+  std::size_t n = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(controller.decide(horizon, util::BytesPerSec(5e5), util::Seconds(2.5),
-                                         50.0));
+    benchmark::DoNotOptimize(controller.decide(
+        horizons[n % kPool], util::BytesPerSec(bandwidths[n % 5]),
+        util::Seconds(buffers[n % 4]), prev_qos[(n / 4) % 4]));
+    ++n;
   }
 }
-BENCHMARK(BM_MpcDecideQoeMax)->Arg(5)->Arg(10);
+BENCHMARK(BM_MpcDecideQoeMax)->Args({5, 5})->Args({10, 5})->Args({5, 20});
 
 // One Scheme::plan per iteration — horizon construction (segment sizes from
 // the encoding manifest, predicted Qo) plus the MPC solve — on the 20 s clip
@@ -166,6 +183,9 @@ void BM_PlanHorizon(benchmark::State& state, sim::SchemeKind kind) {
 BENCHMARK_CAPTURE(BM_PlanHorizon, Ctile, sim::SchemeKind::kCtile);
 BENCHMARK_CAPTURE(BM_PlanHorizon, Ftile, sim::SchemeKind::kFtile);
 BENCHMARK_CAPTURE(BM_PlanHorizon, Ours, sim::SchemeKind::kOurs);
+BENCHMARK_CAPTURE(BM_PlanHorizon, Pano, sim::SchemeKind::kPano);
+BENCHMARK_CAPTURE(BM_PlanHorizon, GhoshLP, sim::SchemeKind::kGhoshLp);
+BENCHMARK_CAPTURE(BM_PlanHorizon, GhoshRobust, sim::SchemeKind::kGhoshRobust);
 
 // One Ftile layout per iteration: view density over the 450 blocks from
 // the 40 training centres of one segment of the 172 s test video 2, then

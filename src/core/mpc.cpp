@@ -40,6 +40,24 @@ double checked_download_s(double bytes, double bandwidth_bytes_per_s) {
   return download_s;
 }
 
+// The Qo inputs both solvers read. A negative finite prev_qo means "no
+// previous segment"; NaN would silently mean the same (every comparison
+// with it is false), and a NaN option Qo would silently drop that option,
+// so neither is accepted.
+void check_qo_inputs(const std::vector<SegmentChoices>& horizon, double prev_qo) {
+  PS360_CHECK_MSG(std::isfinite(prev_qo),
+                  util::strfmt("prev_qo %g is not finite (pass a negative "
+                               "value for no previous segment)",
+                               prev_qo));
+  for (const SegmentChoices& seg : horizon) {
+    PS360_CHECK(!seg.options.empty());
+    for (const QualityOption& option : seg.options) {
+      PS360_CHECK_MSG(std::isfinite(option.qo),
+                      util::strfmt("option qo %g is not finite", option.qo));
+    }
+  }
+}
+
 // resize() that tracks reallocations for the zero-allocation contract.
 template <typename T>
 void grow(std::vector<T>& vec, std::size_t n, std::uint64_t& grow_events) {
@@ -51,17 +69,14 @@ void grow(std::vector<T>& vec, std::size_t n, std::uint64_t& grow_events) {
 
 std::size_t MpcScratch::capacity_bytes() const {
   return (step_cost.capacity() + download_s.capacity() + q_ref.capacity() +
-          at_request_s.capacity() + stall_s.capacity() +
-          frontier_cost.capacity() + next_cost.capacity()) *
+          at_request_s.capacity() + frontier_cost.capacity() +
+          next_cost.capacity() + live_cost.capacity() + live_qo.capacity()) *
              sizeof(double) +
-         (eps_ok.capacity() + frontier_stall.capacity() +
-          next_stall.capacity()) *
+         (eps_ok.capacity() + frontier_stall.capacity() + next_stall.capacity() +
+          live_stall.capacity()) *
              sizeof(unsigned char) +
-         (next_bucket.capacity() + frontier_root.capacity() +
-          next_root.capacity()) *
-             sizeof(std::int32_t) +
-         (table_key_hi.capacity() + table_key_lo.capacity()) *
-             sizeof(std::uint64_t);
+         (frontier_root.capacity() + next_root.capacity() + live_root.capacity()) *
+             sizeof(std::int32_t);
 }
 
 const QualityOption& reference_option(const SegmentChoices& choices,
@@ -103,6 +118,14 @@ MpcController::MpcController(MpcConfig config, const power::DeviceModel& device,
               config_.buffer_quantum_s <= config_.buffer_threshold_s);
   PS360_CHECK(config_.epsilon >= 0.0 && config_.epsilon < 1.0);
   PS360_CHECK(config_.stall_penalty_per_s >= 0.0);
+  PS360_CHECK_MSG(std::isfinite(config_.weights.variation) &&
+                      config_.weights.variation >= 0.0,
+                  util::strfmt("variation weight %g must be finite and >= 0",
+                               config_.weights.variation));
+  PS360_CHECK_MSG(std::isfinite(config_.weights.rebuffer) &&
+                      config_.weights.rebuffer >= 0.0,
+                  util::strfmt("rebuffer weight %g must be finite and >= 0",
+                               config_.weights.rebuffer));
 
   // Fingerprint of everything decide() reads besides the live decision
   // state: the objective, every MpcConfig field, and the device power model
@@ -232,24 +255,39 @@ void MpcController::publish_decision(const MpcDecision& decision,
 //   * eps_ok[i][oi]      — constraint (8c) vs the shared reference ladder,
 //   * at_request_s[b]    — the bucket's buffer once the Eq. 6 wait Δt passed.
 //
-// Energy mode runs a sparse sweep: it visits only live frontier buckets
-// (cost < +inf) and, in the strict pass, only ε-feasible options whose
-// download does not stall, computing each quantized Eq. 6 transition inline.
-// Every candidate it skips would cost +inf, and a +inf candidate never
-// updates the frontier (+inf is never strictly less than a target, and on an
-// inf == inf tie its nonnegative root never beats the target's -1), so the
-// sweep is exact. kMaxQoE revisits every bucket row once per prev-option
-// slot, so it materialises a per-step (bucket × option) transition table
-// instead, memoized on the step's download-time bits (see MpcScratch).
+// Both objectives run sparse sweeps that compute each quantized Eq. 6
+// transition inline (stall_of / next_bucket_of below).
 //
-// Both modes update the next frontier bucket-then-option with branchless
-// selects. Ties on the optimal objective are broken toward the smallest
-// horizon[0] option index — (cost, root choice) propagates lexicographically
-// through the DP — matching decide_exhaustive(), whose depth-first
-// enumeration visits root options in ascending order and only replaces on
-// strictly better cost. Such ties are structural, not exotic: with variation
-// weight 1, every no-stall option above the previous quality scores
-// identically.
+// Energy mode visits only live frontier buckets (cost < +inf) and, in the
+// strict pass, only ε-feasible options whose download does not stall. Every
+// candidate it skips would cost +inf, and a +inf candidate never updates the
+// frontier (+inf is never strictly less than a target, and on an inf == inf
+// tie its nonnegative root never beats the target's -1), so the sweep is
+// exact.
+//
+// kMaxQoE loops bucket → option → live prev state. The stall and the next
+// bucket depend only on (bucket, option), so every prev state of a bucket
+// lands on the same target (next bucket, option); the sweep reduces them in
+// registers and merges the winner into the target with the same relax().
+// Each target still sees its candidates in (bucket asc, prev asc) order, and
+// the (cost, root) fold is associative with first-visited-wins, so the
+// result is the dense DP's. Before expanding a bucket it drops a prev state
+// j (Qo_j >= 0) when another state k of the bucket has
+//   cost_k + w·|Qo_k − Qo_j| < cost_j − δ.
+// By the triangle inequality k's candidate then beats j's by more than δ
+// for every option (a k with Qo_k < 0 pays no variation term at all, which
+// only lowers its candidates); δ exceeds the rounding error of both
+// candidates (see DESIGN.md §5), so j's computed total is strictly larger
+// and j can never win or tie. A j with Qo_j < 0 pays no variation term
+// either, so the bound does not hold for it and it is always kept.
+//
+// Both modes update the next frontier with branchless selects. Ties on the
+// optimal objective are broken toward the smallest horizon[0] option index —
+// (cost, root choice) propagates lexicographically through the DP —
+// matching decide_exhaustive(), whose depth-first enumeration visits root
+// options in ascending order and only replaces on strictly better cost.
+// Such ties are structural, not exotic: with variation weight 1, every
+// no-stall option above the previous quality scores identically.
 MpcDecision MpcController::decide(const std::vector<SegmentChoices>& horizon,
                                   util::BytesPerSec bandwidth,
                                   util::Seconds buffer, double prev_qo) const {
@@ -258,7 +296,7 @@ MpcDecision MpcController::decide(const std::vector<SegmentChoices>& horizon,
   PS360_CHECK(!horizon.empty());
   PS360_CHECK(bandwidth_bytes_per_s > 0.0);
   PS360_CHECK(buffer_s >= 0.0);
-  for (const auto& seg : horizon) PS360_CHECK(!seg.options.empty());
+  check_qo_inputs(horizon, prev_qo);
 
   const bool energy_mode = objective_ == MpcObjective::kMinEnergyQoEConstrained;
   const std::size_t h = horizon.size();
@@ -301,6 +339,12 @@ MpcDecision MpcController::decide(const std::vector<SegmentChoices>& horizon,
   grow(scratch.eps_ok, h * max_options, scratch.grow_events);
   grow(scratch.q_ref, h, scratch.grow_events);
   grow(scratch.at_request_s, buckets, scratch.grow_events);
+  if (!energy_mode) {
+    grow(scratch.live_cost, prev_stride, scratch.grow_events);
+    grow(scratch.live_qo, prev_stride, scratch.grow_events);
+    grow(scratch.live_root, prev_stride, scratch.grow_events);
+    grow(scratch.live_stall, prev_stride, scratch.grow_events);
+  }
 
   // ε-constraint reference quality per segment (energy mode).
   if (energy_mode) reference_qualities(horizon, bandwidth, scratch.q_ref);
@@ -342,29 +386,26 @@ MpcDecision MpcController::decide(const std::vector<SegmentChoices>& horizon,
   // buffered under download time d: the stall, and the next bucket. raw_next
   // lies in [L, cap], so the quantize() clamp reduces to the min(), and
   // dividing by the quantum directly reproduces bucket_of(quantize(raw_next))
-  // without materialising the level. The energy sweep and the kMaxQoE table
-  // fill both go through these two, so their transitions cannot drift apart.
+  // without materialising the level. x = raw_next / quantum is in
+  // [0, buckets), where lround is round-half-up: x − trunc(x) is exact, so
+  // the comparison below is lround's result, including at .5. Both sweeps
+  // go through these two, so their transitions cannot drift apart.
   auto stall_of = [](double at_request, double d) {
     return std::max(d - at_request, 0.0);
   };
   auto next_bucket_of = [&](double at_request, double d) {
     const double raw_next =
         std::max(at_request - d, 0.0) + config_.segment_seconds;
-    return static_cast<std::size_t>(std::lround(std::min(raw_next, cap) / quantum));
+    const double x = std::min(raw_next, cap) / quantum;
+    const auto whole = static_cast<std::size_t>(x);
+    return whole + (x - static_cast<double>(whole) >= 0.5 ? 1 : 0);
   };
-
-  // kMaxQoE only: per-step (bucket × option) transition tables, one slot per
-  // horizon step so each step's fill can be memoized (see MpcScratch).
-  if (!energy_mode) {
-    grow(scratch.next_bucket, h * buckets * max_options, scratch.grow_events);
-    grow(scratch.stall_s, h * buckets * max_options, scratch.grow_events);
-    grow(scratch.table_key_hi, h, scratch.grow_events);
-    grow(scratch.table_key_lo, h, scratch.grow_events);
-  }
 
   const std::size_t table_size = buckets * prev_stride;
   const std::size_t start =
       static_cast<std::size_t>(buffers.bucket_of(buffer)) * prev_stride;
+  const double w = config_.weights.variation;
+  const double stall_penalty = config_.stall_penalty_per_s;
 
   // strict = enforce no-stall + ε-constraint (energy mode); relaxed = allow
   // everything, penalise stalls — used as fallback and as the kMaxQoE mode.
@@ -436,72 +477,97 @@ MpcDecision MpcController::decide(const std::vector<SegmentChoices>& horizon,
           }
         }
       } else {
-        // This step's Eq. 6 transitions, one row per bucket — memoized on
-        // the exact bits of everything the fill reads that can vary between
-        // calls: the table layout and this step's download-time row
-        // (at_request_s, cap, quantum, and L are all fixed by the controller
-        // config, and the scratch arena is per-controller). Same-shaped
-        // decide() calls under a pinned bandwidth estimate hit here and skip
-        // the lround loop entirely.
-        const std::size_t table_base = i * buckets * max_options;
-        std::int32_t* nb_tab = scratch.next_bucket.data() + table_base;
-        double* stall_tab = scratch.stall_s.data() + table_base;
-        PlanKeyHasher table_hasher;
-        table_hasher.mix(buckets);
-        table_hasher.mix(max_options);
-        table_hasher.mix(n_options);
-        for (std::size_t oi = 0; oi < n_options; ++oi)
-          table_hasher.mix_double(download_s[oi]);
-        const PlanKey table_key = table_hasher.key();
-        if (scratch.table_key_hi[i] == table_key.hi &&
-            scratch.table_key_lo[i] == table_key.lo) {
-          ++scratch.table_fill_hits;
-        } else {
-          for (std::size_t b = 0; b < buckets; ++b) {
-            const double at_request = scratch.at_request_s[b];
-            for (std::size_t oi = 0; oi < n_options; ++oi) {
-              nb_tab[b * max_options + oi] = static_cast<std::int32_t>(
-                  next_bucket_of(at_request, download_s[oi]));
-              stall_tab[b * max_options + oi] =
-                  stall_of(at_request, download_s[oi]);
-            }
-          }
-          ++scratch.table_fills;
-          scratch.table_key_hi[i] = table_key.hi;
-          scratch.table_key_lo[i] = table_key.lo;
+        // kMaxQoE. The step's part of the pruning margin: every candidate of
+        // this step rounds on magnitudes below |Qo_o| <= q_max and a stall
+        // penalty <= stall_penalty · d_max (a stall never exceeds its
+        // download time).
+        double q_max = 0.0;
+        double d_max = 0.0;
+        for (std::size_t oi = 0; oi < n_options; ++oi) {
+          q_max = std::max(q_max, std::fabs(step_cost[oi]));
+          d_max = std::max(d_max, download_s[oi]);
         }
+        const double step_scale = 1.0 + (1.0 + w) * q_max + stall_penalty * d_max;
+        // Slot 0 is the virtual pre-horizon state, live at step 0 only.
+        const std::size_t slots = i == 0 ? 1 : horizon[i - 1].options.size() + 1;
+        double* live_cost = scratch.live_cost.data();
+        double* live_qo = scratch.live_qo.data();
+        std::int32_t* live_root = scratch.live_root.data();
+        unsigned char* live_stall = scratch.live_stall.data();
 
-        for (std::size_t state = 0; state < table_size; ++state) {
-          const double node_cost = scratch.frontier_cost[state];
-          // Dead prev-option slots must be skipped: their slot index can
-          // exceed the previous segment's ladder, so the qo_prev read below
-          // is only defined for reachable states.
-          if (node_cost == kInf) continue;
+        for (std::size_t b = 0; b < buckets; ++b) {
+          // Compact this bucket row's live states, in slot order. Dead slots
+          // must be skipped: their slot index can exceed the previous
+          // segment's ladder, so the Qo read is only defined for live ones.
+          const std::size_t row = b * prev_stride;
+          std::size_t n_live = 0;
+          double state_scale = 0.0;
+          for (std::size_t slot = 0; slot < slots; ++slot) {
+            const double cost = scratch.frontier_cost[row + slot];
+            if (cost == kInf) continue;
+            // A negative qo_prev (prev_qo on slot 0) means "no previous
+            // segment": no variation penalty on the first decision.
+            const double qo_prev =
+                slot == 0 ? prev_qo : horizon[i - 1].options[slot - 1].qo;
+            live_cost[n_live] = cost;
+            live_qo[n_live] = qo_prev;
+            live_root[n_live] = scratch.frontier_root[row + slot];
+            live_stall[n_live] = scratch.frontier_stall[row + slot];
+            state_scale = std::max(state_scale, std::fabs(cost) + w * std::fabs(qo_prev));
+            ++n_live;
+          }
+          if (n_live == 0) continue;
           any_alive = true;  // alive state ⇒ finite candidates land below
-          const std::size_t b = state / prev_stride;
-          const std::size_t prev_slot = state % prev_stride;
-          // Slot 0 is the virtual pre-horizon state; negative prev_qo then
-          // means "no previous segment": no variation penalty on the first
-          // decision of a session.
-          const double qo_prev =
-              prev_slot == 0 ? prev_qo : horizon[i - 1].options[prev_slot - 1].qo;
-          const std::int32_t node_root = scratch.frontier_root[state];
-          const unsigned char node_stall = scratch.frontier_stall[state];
-          const std::int32_t* nb_row = nb_tab + b * max_options;
-          const double* stall_row = stall_tab + b * max_options;
+
+          // Dominance pruning, compacting survivors to the front in slot
+          // order. A state is tested against the survivors so far and the
+          // states not yet examined, all of which are live.
+          const double margin = 1e-9 * (step_scale + state_scale);
+          std::size_t n_keep = 0;
+          for (std::size_t j = 0; j < n_live; ++j) {
+            const double qo_j = live_qo[j];
+            bool dominated = false;
+            if (qo_j >= 0.0) {
+              const double bar = live_cost[j] - margin;
+              const auto beats = [&](std::size_t k) {
+                return live_cost[k] + w * std::fabs(live_qo[k] - qo_j) < bar;
+              };
+              for (std::size_t k = 0; k < n_keep && !dominated; ++k)
+                dominated = beats(k);
+              for (std::size_t k = j + 1; k < n_live && !dominated; ++k)
+                dominated = beats(k);
+            }
+            if (dominated) continue;
+            live_cost[n_keep] = live_cost[j];
+            live_qo[n_keep] = qo_j;
+            live_root[n_keep] = live_root[j];
+            live_stall[n_keep] = live_stall[j];
+            ++n_keep;
+          }
+
+          const double at_request = scratch.at_request_s[b];
           for (std::size_t oi = 0; oi < n_options; ++oi) {
-            const double stall = stall_row[oi];
-            const double variation =
-                qo_prev >= 0.0 ? std::fabs(step_cost[oi] - qo_prev) : 0.0;
-            const double q = step_cost[oi] - config_.weights.variation * variation -
-                             config_.stall_penalty_per_s * stall;
-            const std::size_t next_state =
-                static_cast<std::size_t>(nb_row[oi]) * prev_stride + oi + 1;
-            const std::int32_t root =
-                i == 0 ? static_cast<std::int32_t>(oi) : node_root;
-            const unsigned char had =
-                (node_stall != 0 || stall > 0.0) ? 1 : 0;
-            relax(next_state, node_cost - q, root, had);
+            const double stall = stall_of(at_request, download_s[oi]);
+            const double stall_cost = stall_penalty * stall;
+            const double qo = step_cost[oi];
+            double best = kInf;
+            std::int32_t best_root = -1;
+            unsigned char best_had = 0;
+            for (std::size_t s = 0; s < n_keep; ++s) {
+              const double variation =
+                  live_qo[s] >= 0.0 ? std::fabs(qo - live_qo[s]) : 0.0;
+              const double q = qo - w * variation - stall_cost;
+              const double total = live_cost[s] - q;
+              const std::int32_t root =
+                  i == 0 ? static_cast<std::int32_t>(oi) : live_root[s];
+              const unsigned char had = (live_stall[s] != 0 || stall > 0.0) ? 1 : 0;
+              const bool better = total < best || (total == best && root < best_root);
+              best = better ? total : best;
+              best_root = better ? root : best_root;
+              best_had = better ? had : best_had;
+            }
+            relax(next_bucket_of(at_request, download_s[oi]) * prev_stride + oi + 1,
+                  best, best_root, best_had);
           }
         }
       }
@@ -566,6 +632,7 @@ MpcDecision MpcController::decide_exhaustive(const std::vector<SegmentChoices>& 
   const double bandwidth_bytes_per_s = bandwidth.value();
   PS360_CHECK(!horizon.empty());
   PS360_CHECK(bandwidth_bytes_per_s > 0.0);
+  check_qo_inputs(horizon, prev_qo);
   const bool energy_mode = objective_ == MpcObjective::kMinEnergyQoEConstrained;
 
   for (const SegmentChoices& seg : horizon)

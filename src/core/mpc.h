@@ -76,8 +76,8 @@ struct MpcDecision {
 // across decide() calls so the steady state performs zero heap allocations.
 // Layouts (all flattened, row-major):
 //   per (segment, option):  [segment * option_stride + option]
-//   per (bucket, option):   [bucket * option_stride + option]  (one step)
 //   DP frontier:            [bucket * prev_stride + prev_option + 1]
+//   live prev states:       [0, live count) of one frontier bucket row
 // In kMinEnergyQoEConstrained mode the step cost does not depend on the
 // previous option, so prev_stride collapses to 1 and the frontier shrinks by
 // a factor of |options|. The frontier is structure-of-arrays — parallel
@@ -91,23 +91,6 @@ struct MpcScratch {
   std::vector<double> q_ref;            // per-segment reference quality
   // Buffer level available at request time per bucket (Eq. 6 Δt applied).
   std::vector<double> at_request_s;
-  // kMaxQoE only: quantized Eq. 6 transition tables, one (bucket × option)
-  // slot per horizon step (slot i at offset i · buckets · max_options), each
-  // bucket row shared by every prev-option slot. Slot i's fill is memoized
-  // on an exact fingerprint of its inputs (table layout + the step's
-  // download-time row bits — everything else the transition reads is fixed
-  // per controller config), so repeat horizons under a pinned bandwidth
-  // estimate skip the lround-heavy refill. The memo is exact-key, so
-  // memo-on ≡ memo-off bit-identically (covered by the decide ≡
-  // decide_exhaustive and plan-cache differentials). The energy objective
-  // visits each (live bucket, option) pair at most once per pass and
-  // computes its transition inline, so it never touches these vectors.
-  std::vector<std::int32_t> next_bucket;
-  std::vector<double> stall_s;
-  std::vector<std::uint64_t> table_key_hi;  // per-step fill fingerprints
-  std::vector<std::uint64_t> table_key_lo;
-  std::uint64_t table_fills = 0;      // transition-table slot refills
-  std::uint64_t table_fill_hits = 0;  // refills skipped via fingerprint match
   // Dense DP frontier tables (double-buffered, structure-of-arrays): the
   // minimal cost to reach each state, the option chosen at horizon[0] on
   // that minimal path, and whether that path stalled.
@@ -117,6 +100,14 @@ struct MpcScratch {
   std::vector<std::int32_t> next_root;
   std::vector<unsigned char> frontier_stall;
   std::vector<unsigned char> next_stall;
+  // kMaxQoE only: the live prev-option states of the bucket row being
+  // expanded, compacted in slot order — their cost, the Qo the variation
+  // term reads (prev_qo for the virtual slot 0), root and stall flag. The
+  // dominance pruning compacts the surviving states to the front in place.
+  std::vector<double> live_cost;
+  std::vector<double> live_qo;
+  std::vector<std::int32_t> live_root;
+  std::vector<unsigned char> live_stall;
 
   // Bytes currently reserved across all vectors, and how many times any of
   // them had to grow — each vector that grows within one decide() counts as
@@ -128,6 +119,9 @@ struct MpcScratch {
 
 class MpcController {
  public:
+  // Rejects (std::invalid_argument) an invalid config, including a negative
+  // or non-finite weights.variation / weights.rebuffer: the kMaxQoE
+  // dominance pruning relies on a nonnegative variation weight.
   MpcController(MpcConfig config, const power::DeviceModel& device,
                 MpcObjective objective);
 
@@ -148,16 +142,22 @@ class MpcController {
   // options that pass both constraints, computing each Eq. 6 transition
   // inline. Skipped candidates are exactly the +inf ones, which can never
   // update the frontier, so the sweep equals the dense DP bit for bit.
-  // kMaxQoE sweeps every (bucket, prev option) state over memoized
-  // per-step transition tables. Both break cost ties toward the smallest
+  // kMaxQoE sweeps bucket → option → live prev state, and skips a prev
+  // state that another state of its bucket beats by more than the FP error
+  // for every option (DESIGN.md §5, "Solver internals"), so it too equals
+  // the dense DP bit for bit. Both break cost ties toward the smallest
   // horizon[0] option, as decide_exhaustive() does.
+  //
+  // prev_qo must be finite (a negative value means "no previous segment")
+  // and every option's qo must be finite; both are rejected with
+  // std::invalid_argument otherwise, as is a non-finite download time.
   MpcDecision decide(const std::vector<SegmentChoices>& horizon,
                      util::BytesPerSec bandwidth, util::Seconds buffer,
                      double prev_qo) const;
 
   // Exhaustive-search reference implementation (exponential in H); used by
   // tests to validate the DP. Semantics identical to decide(), including
-  // the rejection of non-finite download times.
+  // the rejection of non-finite download times, prev_qo and option Qo.
   MpcDecision decide_exhaustive(const std::vector<SegmentChoices>& horizon,
                                 util::BytesPerSec bandwidth,
                                 util::Seconds buffer, double prev_qo) const;
@@ -167,15 +167,6 @@ class MpcController {
   // both stay constant for repeated calls of the same horizon shape.
   std::size_t scratch_capacity_bytes() const { return scratch_.capacity_bytes(); }
   std::uint64_t scratch_grow_events() const { return scratch_.grow_events; }
-
-  // Transition-table memo observability (see MpcScratch): how many per-step
-  // (bucket × option) table fills ran vs. were skipped on an exact
-  // fingerprint match. Only kMaxQoE controllers fill tables; an energy-mode
-  // controller reports 0 for both.
-  std::uint64_t scratch_table_fills() const { return scratch_.table_fills; }
-  std::uint64_t scratch_table_fill_hits() const {
-    return scratch_.table_fill_hits;
-  }
 
   // Attach a nullable metrics/trace observer (obs/observer.h). `session`
   // labels the trace records. decide() then counts solves and strict-vs-

@@ -1,14 +1,16 @@
 // Competitor controllers (GhoshLP / GhoshRobust / Pano). Deterministic
 // contract: plan() is a pure function of the SchemeEnv, segment state, and
 // the session seed — the LP greedy iterates tiles in row-major index order
-// with strict-> tie-breaking, tile byte noise comes from counter-mode
-// derive_seed streams (role 7, salted by tile id), and no unordered
-// containers or wall-clock reads appear anywhere. attach_plan_cache is a
-// documented no-op and attach_observer only adds counters, so hook wiring
-// never changes decisions (pinned by tests/tournament_test.cpp).
+// with strict-> tie-breaking, tile sizes come from the encoding manifest's
+// Ghosh table (keyed noise, role kRoleGhoshTile salted by tile id), and no
+// unordered containers or wall-clock reads appear anywhere.
+// attach_plan_cache is a documented no-op and attach_observer only adds
+// counters, so hook wiring never changes decisions (pinned by
+// tests/tournament_test.cpp).
 #include "sim/competitors.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 
@@ -25,60 +27,70 @@ using geometry::TileIndex;
 using geometry::Viewport;
 
 LpAllocation lp_allocate(const std::vector<double>& weights,
-                         const std::vector<std::vector<double>>& tile_bytes,
-                         const std::vector<std::vector<double>>& tile_utility,
+                         const std::vector<double>& tile_bytes,
+                         const std::vector<double>& tile_utility, std::size_t levels,
                          util::Bytes budget) {
   const std::size_t n = weights.size();
-  PS360_CHECK(tile_bytes.size() == n && tile_utility.size() == n);
+  PS360_CHECK(levels >= 1);
+  PS360_CHECK(tile_bytes.size() == n * levels && tile_utility.size() == n * levels);
   PS360_CHECK(budget.value() >= 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    PS360_CHECK(weights[i] >= 0.0);
-    PS360_CHECK(!tile_bytes[i].empty() && tile_bytes[i].size() == tile_utility[i].size());
-  }
+  for (std::size_t i = 0; i < n; ++i) PS360_CHECK(weights[i] >= 0.0);
 
   LpAllocation out;
   out.level.assign(n, 0);
   for (std::size_t i = 0; i < n; ++i) {
-    out.spent += tile_bytes[i][0];
-    out.utility += weights[i] * tile_utility[i][0];
+    out.spent += tile_bytes[i * levels];
+    out.utility += weights[i] * tile_utility[i * levels];
   }
   out.feasible = out.spent <= budget.value();
   if (!out.feasible) return out;  // even the floor does not fit: stay there
+
+  // Each tile's next upgrade. A tile stays closed once it is at its top
+  // level or its next level gains nothing: its level never changes again,
+  // so the greedy would skip it on every later scan too.
+  struct Upgrade {
+    double cost = 0.0;   // marginal bytes
+    double gain = 0.0;   // weighted marginal utility
+    double ratio = 0.0;  // gain per byte; +inf for a free upgrade
+    bool open = false;
+  };
+  std::vector<Upgrade> next(n);
+  const auto refresh = [&](std::size_t i) {
+    const std::size_t at = i * levels + static_cast<std::size_t>(out.level[i]);
+    Upgrade& up = next[i];
+    up.open = false;
+    if (static_cast<std::size_t>(out.level[i]) + 1 >= levels) return;
+    up.cost = tile_bytes[at + 1] - tile_bytes[at];
+    up.gain = weights[i] * (tile_utility[at + 1] - tile_utility[at]);
+    if (up.gain <= 0.0) return;
+    // Free (or size-shrinking) upgrades rank above any paid one.
+    up.ratio = up.cost <= 0.0 ? std::numeric_limits<double>::infinity() : up.gain / up.cost;
+    up.open = true;
+  };
+  for (std::size_t i = 0; i < n; ++i) refresh(i);
 
   for (;;) {
     std::size_t best_tile = n;
     double best_ratio = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-      const auto l = static_cast<std::size_t>(out.level[i]);
-      if (l + 1 >= tile_bytes[i].size()) continue;
-      const double cost = tile_bytes[i][l + 1] - tile_bytes[i][l];
-      const double gain = weights[i] * (tile_utility[i][l + 1] - tile_utility[i][l]);
-      if (gain <= 0.0) continue;
-      if (out.spent + std::max(cost, 0.0) > budget.value()) continue;
-      // Free (or size-shrinking) upgrades rank above any paid one.
-      const double ratio = cost <= 0.0 ? std::numeric_limits<double>::infinity()
-                                       : gain / cost;
-      if (best_tile == n || ratio > best_ratio) {  // strict: ties keep lower i
+      const Upgrade& up = next[i];
+      if (!up.open) continue;
+      if (out.spent + std::max(up.cost, 0.0) > budget.value()) continue;
+      if (best_tile == n || up.ratio > best_ratio) {  // strict: ties keep lower i
         best_tile = i;
-        best_ratio = ratio;
+        best_ratio = up.ratio;
       }
     }
     if (best_tile == n) break;
-    const auto l = static_cast<std::size_t>(out.level[best_tile]);
-    out.spent += tile_bytes[best_tile][l + 1] - tile_bytes[best_tile][l];
-    out.utility +=
-        weights[best_tile] * (tile_utility[best_tile][l + 1] - tile_utility[best_tile][l]);
-    out.level[best_tile] = static_cast<int>(l + 1);
+    out.spent += next[best_tile].cost;
+    out.utility += next[best_tile].gain;
+    ++out.level[best_tile];
+    refresh(best_tile);
   }
   return out;
 }
 
 namespace {
-
-// Noise role 7 (roles 0-6 belong to the in-paper schemes); the tile's
-// row-major id is folded in through the salt overload so per-tile sizes
-// vary independently.
-constexpr int kGhoshNoiseRole = 7;
 
 // ---------------------------------------------------------------------------
 // GhoshLP / GhoshRobust
@@ -86,7 +98,12 @@ constexpr int kGhoshNoiseRole = 7;
 class GhoshScheme : public SchemeBase {
  public:
   GhoshScheme(SchemeKind kind, const SchemeEnv& env, bool robust)
-      : SchemeBase(kind, env), robust_(robust) {}
+      : SchemeBase(kind, env), robust_(robust) {
+    PS360_CHECK_MSG(grid_.tile_count() <= kGhoshTileIds,
+                    "the manifest's Ghosh table covers the 4 x 8 grid's tile ids");
+    for (std::size_t id = 0; id < grid_.tile_count(); ++id)
+      tile_area_.push_back(grid_.tile_area({id / grid_.cols(), id % grid_.cols()}));
+  }
 
   void attach_observer(obs::Observer* observer, std::uint32_t session) override {
     observer_ = observer;
@@ -103,12 +120,12 @@ class GhoshScheme : public SchemeBase {
   DownloadPlan plan(std::size_t k, const Viewport& predicted, double predicted_sfov,
                     util::BytesPerSec bandwidth, util::Seconds buffer,
                     double /*prev_qo*/) const override {
-    const auto& workload = *env_.workload;
-    const auto& feat = workload.features(k);
+    constexpr std::size_t kLevels = video::QualityLadder::kLevels;
     const double L = env_.mpc.segment_seconds;
+    const EncodingManifest& m = manifest();
 
-    // Candidate (allocated) tiles and their weights.
-    std::vector<TileIndex> candidates;
+    // Candidate (allocated) tile ids and their weights.
+    std::vector<std::size_t> candidates;
     std::vector<double> weights;
     if (robust_) {
       // Weight every tile the viewport might touch by its visibility
@@ -118,13 +135,10 @@ class GhoshScheme : public SchemeBase {
           grid_, predicted.center(), predicted.fov_h(), predicted.fov_v(),
           util::DegPerSec(predicted_sfov),
           util::Seconds(std::max(buffer.value(), 0.0)));
-      for (std::size_t row = 0; row < grid_.rows(); ++row) {
-        for (std::size_t col = 0; col < grid_.cols(); ++col) {
-          const double p = visibility[row * grid_.cols() + col];
-          if (p < kVisibilityFloor) continue;
-          candidates.push_back({row, col});
-          weights.push_back(p);
-        }
+      for (std::size_t id = 0; id < visibility.size(); ++id) {
+        if (visibility[id] < kVisibilityFloor) continue;
+        candidates.push_back(id);
+        weights.push_back(visibility[id]);
       }
     }
     if (candidates.empty()) {
@@ -132,19 +146,19 @@ class GhoshScheme : public SchemeBase {
       // tiles, equally weighted — prediction taken at face value.
       const auto rect =
           grid_.covering_rect(predicted.area(), env_.tile_overlap_threshold);
-      candidates = grid_.tiles_in(rect);
+      for (const TileIndex& t : grid_.tiles_in(rect)) candidates.push_back(tile_id(t));
       weights.assign(candidates.size(), 1.0);
     }
 
     // Background: every non-candidate tile ships at the lowest level,
     // charged before the allocation budget.
     std::vector<char> is_candidate(grid_.tile_count(), 0);
-    for (const TileIndex& t : candidates) is_candidate[tile_id(t)] = 1;
+    for (const std::size_t id : candidates) is_candidate[id] = 1;
     double bg_bytes = 0.0;
     for (std::size_t id = 0; id < grid_.tile_count(); ++id) {
       if (is_candidate[id]) continue;
-      bg_bytes += tile_level_bytes(k, {id / grid_.cols(), id % grid_.cols()},
-                                   video::QualityLadder::kMinLevel, feat, L);
+      bg_bytes += m.ghosh_tile_bytes(k, video::QualityLadder::kMinLevel, id,
+                                     tile_area_[id].area_fraction(), L);
     }
     const double total_budget = bandwidth.value() * L;
     const double budget = std::max(total_budget - bg_bytes, 0.0);
@@ -152,24 +166,20 @@ class GhoshScheme : public SchemeBase {
     // Per-candidate cost and utility ladders (utility = Eq. 3 Qo at the
     // level's FoV bitrate; identical across tiles, but costs differ by
     // area and keyed noise, so the allocation is still non-trivial).
-    std::vector<std::vector<double>> tile_bytes(candidates.size());
-    std::vector<std::vector<double>> tile_utility(candidates.size());
-    std::vector<double> level_utility;
-    for (int v = video::QualityLadder::kMinLevel; v <= video::QualityLadder::kMaxLevel;
-         ++v) {
-      level_utility.push_back(env_.qo_model->qo(
-          feat.si, feat.ti, util::Mbps(env_.encoding->fov_bitrate_mbps(v, feat))));
-    }
+    const std::array<double, kLevels> level_utility = level_qo(k);
+    std::vector<double> tile_bytes(candidates.size() * kLevels);
+    std::vector<double> tile_utility(candidates.size() * kLevels);
     for (std::size_t i = 0; i < candidates.size(); ++i) {
-      for (int v = video::QualityLadder::kMinLevel;
-           v <= video::QualityLadder::kMaxLevel; ++v) {
-        tile_bytes[i].push_back(tile_level_bytes(k, candidates[i], v, feat, L));
+      for (std::size_t l = 0; l < kLevels; ++l) {
+        const int v = video::QualityLadder::kMinLevel + static_cast<int>(l);
+        tile_bytes[i * kLevels + l] = m.ghosh_tile_bytes(
+            k, v, candidates[i], tile_area_[candidates[i]].area_fraction(), L);
+        tile_utility[i * kLevels + l] = level_utility[l];
       }
-      tile_utility[i] = level_utility;
     }
 
     const LpAllocation alloc =
-        lp_allocate(weights, tile_bytes, tile_utility, util::Bytes(budget));
+        lp_allocate(weights, tile_bytes, tile_utility, kLevels, util::Bytes(budget));
     if (observer_ != nullptr && observer_->metrics != nullptr)
       observer_->metrics->add(id_allocations_);
 
@@ -184,7 +194,7 @@ class GhoshScheme : public SchemeBase {
       level_sum += weights[i] * (alloc.level[i] + video::QualityLadder::kMinLevel);
       weight_sum += weights[i];
       if (alloc.level[i] > 0) {
-        const EquirectRect area = grid_.tile_area(candidates[i]);
+        const EquirectRect& area = tile_area_[candidates[i]];
         hq = any_upgraded ? hq.united(area) : area;
         any_upgraded = true;
       }
@@ -196,7 +206,7 @@ class GhoshScheme : public SchemeBase {
       // Everything stayed at the floor: the whole candidate set is the
       // (lowest-quality) served region.
       for (std::size_t i = 0; i < candidates.size(); ++i) {
-        const EquirectRect area = grid_.tile_area(candidates[i]);
+        const EquirectRect& area = tile_area_[candidates[i]];
         hq = i == 0 ? area : hq.united(area);
       }
     }
@@ -206,7 +216,8 @@ class GhoshScheme : public SchemeBase {
     plan.option.frame_index = video::FrameRateLadder::kOptions;
     plan.option.fps = frame_ladder_.fps(video::FrameRateLadder::kOptions);
     plan.option.bytes = bg_bytes + alloc.spent;
-    plan.option.qo = predicted_qo(k, quality, 1.0, predicted_sfov);
+    plan.option.qo =
+        level_utility[static_cast<std::size_t>(quality - video::QualityLadder::kMinLevel)];
     plan.option.profile = power::DecodeProfile::kCtile;
     plan.frame_ratio = 1.0;
     plan.mpc_feasible = alloc.feasible && bg_bytes <= total_budget;
@@ -223,15 +234,8 @@ class GhoshScheme : public SchemeBase {
 
   std::size_t tile_id(const TileIndex& t) const { return t.row * grid_.cols() + t.col; }
 
-  double tile_level_bytes(std::size_t segment, const TileIndex& t, int quality,
-                          const video::ContentFeatures& feat, double seconds) const {
-    return env_.encoding->region_bytes(
-        grid_.tile_area(t).area_fraction(), 1, quality, feat, seconds, 1.0,
-        noise_key(*env_.workload, segment, quality, video::FrameRateLadder::kOptions,
-                  kGhoshNoiseRole, tile_id(t)));
-  }
-
   bool robust_;
+  std::vector<EquirectRect> tile_area_;  // per tile id
   obs::Observer* observer_ = nullptr;
   std::uint32_t session_ = 0;
   obs::MetricsRegistry::Id id_allocations_{};
@@ -301,12 +305,10 @@ class PanoScheme : public SchemeBase {
   // The Pano twist: the planner's Qo is masked by what the viewer can
   // actually perceive at this switching speed and content. Delivered-QoE
   // accounting stays on the unweighted Eq. 3 (accounting.cpp owns that).
-  double predicted_qo(std::size_t segment, int quality, double frame_ratio,
-                      double predicted_sfov) const override {
+  double qo_weight(std::size_t segment, double predicted_sfov) const override {
     const auto& feat = env_.workload->features(segment);
-    return SchemeBase::predicted_qo(segment, quality, frame_ratio, predicted_sfov) *
-           qoe::QoModel::perceptual_sensitivity(util::DegPerSec(predicted_sfov),
-                                                feat.si, feat.ti);
+    return qoe::QoModel::perceptual_sensitivity(util::DegPerSec(predicted_sfov), feat.si,
+                                                feat.ti);
   }
 
  private:

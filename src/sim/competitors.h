@@ -6,9 +6,12 @@
 //                 byte budget (estimated bandwidth × segment length) is
 //                 allocated across the predicted-FoV tiles by a budgeted
 //                 quality-level assignment; no MPC buffer control, no frame
-//                 rate adaptation. The LP relaxation's optimum is integral
-//                 at concave per-tile utilities, so we solve it greedily by
-//                 maximum weighted marginal utility per byte (lp_allocate).
+//                 rate adaptation. Each grid tile is sized as its own
+//                 encoding from the manifest's Ghosh table
+//                 (EncodingManifest::ghosh_tile_bytes). The LP
+//                 relaxation's optimum is integral at concave per-tile
+//                 utilities, so we solve it greedily by maximum weighted
+//                 marginal utility per byte (lp_allocate).
 //   GhoshRobust — the robust variant (§IV of the same paper): candidate
 //                 tiles are everything the viewport might touch, weighted by
 //                 the visibility probabilities from predict/visibility.h, so
@@ -40,18 +43,21 @@ struct LpAllocation {
   bool feasible = true;    // the floor (all tiles at level 0) fit the budget
 };
 
-// Allocate `budget` bytes across tiles: tile i at level l costs
-// tile_bytes[i][l] and yields weights[i] * tile_utility[i][l]. Every tile
-// starts at level 0 (the floor; if even that exceeds the budget the
-// allocation is marked infeasible and stays at the floor). Upgrades are
+// Allocate `budget` bytes across the n = weights.size() tiles, each with
+// `levels` quality levels: tile i at level l costs tile_bytes[i * levels + l]
+// and yields weights[i] * tile_utility[i * levels + l] (flat, tile-major).
+// Every tile starts at level 0 (the floor; if even that exceeds the budget
+// the allocation is marked infeasible and stays at the floor). Upgrades are
 // applied greedily by maximum weighted marginal utility per marginal byte —
 // free-or-negative-cost upgrades with positive gain first — with ties broken
 // toward the lower tile index. For utilities concave in bytes (per tile,
 // increasing levels) the greedy solution is exactly the LP/knapsack-
-// relaxation optimum rounded down to integral levels. Deterministic.
+// relaxation optimum rounded down to integral levels. Each tile's next
+// upgrade (cost, gain, ratio) is computed once per level it reaches, so a
+// greedy step is one scan of cached values. Deterministic.
 LpAllocation lp_allocate(const std::vector<double>& weights,
-                         const std::vector<std::vector<double>>& tile_bytes,
-                         const std::vector<std::vector<double>>& tile_utility,
+                         const std::vector<double>& tile_bytes,
+                         const std::vector<double>& tile_utility, std::size_t levels,
                          util::Bytes budget);
 
 // Registry factories (rows in sim/schemes.cpp's controller registry).

@@ -20,7 +20,9 @@ bool is_background(int role) {
 
 }  // namespace
 
-ManifestNeeds ManifestNeeds::all() { return ManifestNeeds{kAllRoles, kAllRoles}; }
+ManifestNeeds ManifestNeeds::all() {
+  return ManifestNeeds{kAllRoles, kAllRoles, /*ghosh_tiles=*/true};
+}
 
 EncodingManifest::EncodingManifest(const VideoWorkload& workload,
                                    const video::EncodingModel& encoding,
@@ -77,6 +79,20 @@ EncodingManifest::EncodingManifest(const VideoWorkload& workload,
       }
     }
   }
+
+  if (needs_.ghosh_tiles) {
+    ghosh_noise_.resize(segments_ * kLevels * kGhoshTileIds);
+    for (std::size_t i = 0; i < segments_; ++i) {
+      for (int v = video::QualityLadder::kMinLevel; v <= video::QualityLadder::kMaxLevel;
+           ++v) {
+        const std::size_t r = rate_index(i, v);
+        for (std::size_t tile = 0; tile < kGhoshTileIds; ++tile) {
+          ghosh_noise_[r * kGhoshTileIds + tile] = encoding.size_noise(
+              noise_key(workload, i, v, kFrames, kRoleGhoshTile, tile));
+        }
+      }
+    }
+  }
 }
 
 bool EncodingManifest::matches(const VideoWorkload& workload,
@@ -85,7 +101,8 @@ bool EncodingManifest::matches(const VideoWorkload& workload,
   const std::uint32_t roles = needs.roles | needs.ladder_roles;
   return &workload == workload_ && config == config_ &&
          (roles & ~needs_.roles) == 0 &&
-         (needs.ladder_roles & ~needs_.ladder_roles) == 0;
+         (needs.ladder_roles & ~needs_.ladder_roles) == 0 &&
+         (!needs.ghosh_tiles || needs_.ghosh_tiles);
 }
 
 }  // namespace ps360::sim

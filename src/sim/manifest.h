@@ -7,11 +7,13 @@
 //   * per (segment, quality): the full-frame area rate and the per-tile
 //     overhead (EncodingModel::area_rate_mbps / tile_overhead_mbps);
 //   * per frame index: the frame-rate size factor (f / fm)^γ;
-//   * per (segment, quality, frame index, role): the keyed size-noise factor.
-// bytes() evaluates region_bytes' formula from those tables in region_bytes'
-// floating-point order, so every byte count is bit-identical to the model's
-// while an option costs a few multiplies instead of a keyed lognormal draw
-// and a pow.
+//   * per (segment, quality, frame index, role): the keyed size-noise factor;
+//   * per (segment, quality, tile id): the GhoshLP/GhoshRobust per-tile
+//     size-noise factor (role kRoleGhoshTile, salted by the tile id).
+// bytes() and ghosh_tile_bytes() evaluate region_bytes' formula from those
+// tables in region_bytes' floating-point order, so every byte count is
+// bit-identical to the model's while an option costs a few multiplies
+// instead of a keyed lognormal draw and a pow.
 //
 // Sharing contract: an entry point (simulate_session, run_fleet,
 // run_fleet_replications) builds one manifest before any session or worker
@@ -45,9 +47,15 @@ enum NoiseRole : int {
   kRolePtile = 5,
   kRolePtileBackground = 6,
 };
-// Roles 0..kManifestRoles-1 are tabulated; competitors key per-tile noise
-// with higher roles through the salted noise_key overload.
+// Roles 0..kManifestRoles-1 are tabulated per (segment, quality, frame
+// index).
 inline constexpr int kManifestRoles = 7;
+// GhoshLP/GhoshRobust size every tile of their grid as its own one-tile
+// region at the original frame rate, keyed by this role with the tile's
+// row-major id folded in through the salted noise_key overload.
+inline constexpr int kRoleGhoshTile = 7;
+// Tile ids the Ghosh table covers: the 4 x 8 grid of SchemeEnv's defaults.
+inline constexpr std::size_t kGhoshTileIds = 32;
 
 // Deterministic per-(segment, version, role) key for the encoding-size
 // noise.
@@ -73,17 +81,19 @@ inline std::uint64_t noise_key(const VideoWorkload& workload, std::size_t segmen
 // r at the original frame rate (frame index FrameRateLadder::kOptions); bit
 // r of `ladder_roles` tabulates it at every frame index. Foreground roles
 // are tabulated at every quality, background roles at the lowest only.
+// `ghosh_tiles` tabulates the Ghosh per-tile factors for tile ids
+// [0, kGhoshTileIds) at every quality.
 struct ManifestNeeds {
   std::uint32_t roles = 0;
   std::uint32_t ladder_roles = 0;
+  bool ghosh_tiles = false;
 
-  // Every role at every frame index.
+  // Every role at every frame index, and the Ghosh tiles.
   static ManifestNeeds all();
 };
 
 // What the registered controller `kind` reads from a manifest (its row in
-// the schemes.cpp registry). Controllers that size their own per-tile
-// encodings (GhoshLP, GhoshRobust) need nothing.
+// the schemes.cpp registry).
 ManifestNeeds manifest_needs(SchemeKind kind);
 
 class EncodingManifest {
@@ -117,13 +127,19 @@ class EncodingManifest {
   double bytes(std::size_t segment, int quality, std::size_t frame_index, int role,
                double area_fraction, std::size_t n_tiles, double seconds,
                double frame_size_factor = 1.0) const {
-    PS360_ASSERT(area_fraction > 0.0 && area_fraction <= 1.0 + 1e-9);
-    PS360_ASSERT(n_tiles >= 1 && seconds > 0.0);
+    return sized(rate_index(segment, quality), area_fraction, n_tiles, seconds,
+                 frame_size_factor, noise(segment, quality, frame_index, role));
+  }
+
+  // EncodingModel::region_bytes(area_fraction, 1, quality, features(segment),
+  // seconds, 1.0, noise_key(segment, quality, kOptions, kRoleGhoshTile,
+  // tile)) — one Ghosh tile at the original frame rate, bit-identical.
+  double ghosh_tile_bytes(std::size_t segment, int quality, std::size_t tile,
+                          double area_fraction, double seconds) const {
+    PS360_ASSERT_MSG(needs_.ghosh_tiles, "Ghosh tiles not tabulated in this manifest");
+    PS360_ASSERT(tile < kGhoshTileIds);
     const std::size_t r = rate_index(segment, quality);
-    const double mbps = area_fraction * area_rate_[r] +
-                        static_cast<double>(n_tiles) * tile_overhead_[r];
-    return mbps * 1e6 / 8.0 * seconds * frame_size_factor *
-           noise(segment, quality, frame_index, role);
+    return sized(r, area_fraction, 1, seconds, 1.0, ghosh_noise_[r * kGhoshTileIds + tile]);
   }
 
  private:
@@ -136,6 +152,17 @@ class EncodingManifest {
     std::size_t qualities = 0;  // kLevels, or 1 (lowest only)
     std::size_t frames = 0;     // kOptions, or 1 (original rate only)
   };
+
+  // region_bytes' formula on tabulated factors, in its FP order. A
+  // `frame_size_factor` of 1.0 stands for pow(1.0, γ), which is exactly 1.
+  double sized(std::size_t r, double area_fraction, std::size_t n_tiles, double seconds,
+               double frame_size_factor, double noise) const {
+    PS360_ASSERT(area_fraction > 0.0 && area_fraction <= 1.0 + 1e-9);
+    PS360_ASSERT(n_tiles >= 1 && seconds > 0.0);
+    const double mbps = area_fraction * area_rate_[r] +
+                        static_cast<double>(n_tiles) * tile_overhead_[r];
+    return mbps * 1e6 / 8.0 * seconds * frame_size_factor * noise;
+  }
 
   std::size_t rate_index(std::size_t segment, int quality) const {
     PS360_ASSERT(segment < segments_ && quality >= video::QualityLadder::kMinLevel &&
@@ -153,6 +180,7 @@ class EncodingManifest {
   std::array<double, video::FrameRateLadder::kOptions> frame_factor_{};
   std::array<RoleTable, kManifestRoles> role_tables_{};
   std::vector<double> noise_;
+  std::vector<double> ghosh_noise_;  // [segment][quality][tile id]
 };
 
 inline double EncodingManifest::noise(std::size_t segment, int quality,

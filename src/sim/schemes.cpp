@@ -373,7 +373,8 @@ std::unique_ptr<Scheme> make_ours(const SchemeEnv& env) {
 const std::array<ControllerEntry, kSchemeCount>& registry() {
   static const std::array<ControllerEntry, kSchemeCount> entries = [] {
     // Manifest needs: Ptile/Ours fall back to Ctile's encodings; Ours and
-    // Pano size their foreground across the frame-rate ladder.
+    // Pano size their foreground across the frame-rate ladder; GhoshLP and
+    // GhoshRobust size each grid tile on its own.
     const auto bit = [](int role) { return std::uint32_t{1} << role; };
     const std::uint32_t ctile = bit(kRoleCtileFov) | bit(kRoleCtileBackground);
     const std::uint32_t ptile = bit(kRolePtile) | bit(kRolePtileBackground);
@@ -389,10 +390,12 @@ const std::array<ControllerEntry, kSchemeCount>& registry() {
          &make_ptile_fixed,
          {ctile | ptile, 0}},
         {{SchemeKind::kOurs, "Ours", /*in_paper=*/true}, &make_ours, {ctile, ptile}},
-        {{SchemeKind::kGhoshLp, "GhoshLP", /*in_paper=*/false}, &make_ghosh_lp, {}},
+        {{SchemeKind::kGhoshLp, "GhoshLP", /*in_paper=*/false},
+         &make_ghosh_lp,
+         {0, 0, /*ghosh_tiles=*/true}},
         {{SchemeKind::kGhoshRobust, "GhoshRobust", /*in_paper=*/false},
          &make_ghosh_robust,
-         {}},
+         {0, 0, /*ghosh_tiles=*/true}},
         {{SchemeKind::kPano, "Pano", /*in_paper=*/false}, &make_pano, {0, ctile}},
     }};
     for (std::size_t i = 0; i < table.size(); ++i) {

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -396,6 +397,95 @@ TEST_P(NonFiniteDownloadTest, DecideExhaustiveRejectsIt) {
 INSTANTIATE_TEST_SUITE_P(BothObjectives, NonFiniteDownloadTest,
                          ::testing::Values(MpcObjective::kMaxQoE,
                                            MpcObjective::kMinEnergyQoEConstrained));
+
+// A NaN prev_qo used to pass for "no previous segment" (every comparison
+// with NaN is false, so the variation term was silently skipped: a 3-step
+// ladder planned v=3 where prev_qo = 20 plans v=2), and an option with a
+// NaN Qo was silently dropped from the plan. Both solvers, under both
+// objectives, now reject either; a negative finite prev_qo keeps meaning
+// "no previous segment".
+class NonFiniteQoTest : public ::testing::TestWithParam<MpcObjective> {};
+
+TEST_P(NonFiniteQoTest, NaNPrevQoIsRejected) {
+  const MpcController controller(default_config(),
+                                 power::device_model(Device::kPixel3), GetParam());
+  const std::vector<SegmentChoices> horizon(3, make_choices(4e5, DecodeProfile::kPtile));
+  const double nan = std::nan("");
+  const std::string msg = check_message([&] {
+    (void)controller.decide(horizon, util::BytesPerSec(5e5), util::Seconds(2.0), nan);
+  });
+  EXPECT_NE(msg.find("prev_qo"), std::string::npos) << msg;
+  EXPECT_NE(check_message([&] {
+              (void)controller.decide_exhaustive(horizon, util::BytesPerSec(5e5),
+                                                 util::Seconds(2.0), nan);
+            }).find("prev_qo"),
+            std::string::npos);
+  EXPECT_THROW(controller.decide(horizon, util::BytesPerSec(5e5), util::Seconds(2.0),
+                                 std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
+  // Any negative finite value still means "none", and both solvers agree.
+  for (const double none : {-1.0, -1e300, -0.5}) {
+    const MpcDecision dp =
+        controller.decide(horizon, util::BytesPerSec(5e5), util::Seconds(2.0), none);
+    const MpcDecision ref =
+        controller.decide(horizon, util::BytesPerSec(5e5), util::Seconds(2.0), -1.0);
+    EXPECT_EQ(dp.choice.quality, ref.choice.quality) << none;
+    EXPECT_EQ(dp.objective, ref.objective) << none;
+    EXPECT_EQ(controller
+                  .decide_exhaustive(horizon, util::BytesPerSec(5e5), util::Seconds(2.0),
+                                     none)
+                  .objective,
+              ref.objective)
+        << none;
+  }
+}
+
+TEST_P(NonFiniteQoTest, NaNOptionQoIsRejected) {
+  const MpcController controller(default_config(),
+                                 power::device_model(Device::kPixel3), GetParam());
+  std::vector<SegmentChoices> horizon(2, make_choices(4e5, DecodeProfile::kPtile));
+  horizon[1].options[2].qo = std::nan("");
+  const std::string msg = check_message([&] {
+    (void)controller.decide(horizon, util::BytesPerSec(5e5), util::Seconds(2.0), 40.0);
+  });
+  EXPECT_NE(msg.find("option qo"), std::string::npos) << msg;
+  EXPECT_THROW(controller.decide_exhaustive(horizon, util::BytesPerSec(5e5),
+                                            util::Seconds(2.0), 40.0),
+               std::invalid_argument);
+  horizon[1].options[2].qo = -std::numeric_limits<double>::infinity();
+  EXPECT_THROW(controller.decide(horizon, util::BytesPerSec(5e5), util::Seconds(2.0), 40.0),
+               std::invalid_argument);
+}
+
+INSTANTIATE_TEST_SUITE_P(BothObjectives, NonFiniteQoTest,
+                         ::testing::Values(MpcObjective::kMaxQoE,
+                                           MpcObjective::kMinEnergyQoEConstrained));
+
+TEST(MpcValidationTest, QoEWeightsMustBeFiniteAndNonnegative) {
+  // The kMaxQoE dominance pruning assumes a variation weight w >= 0 (it
+  // bounds a candidate's variation term with the triangle inequality).
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {-1.0, -1e-12, nan, inf, -inf}) {
+    MpcConfig config = default_config();
+    config.weights.variation = bad;
+    EXPECT_THROW(MpcController(config, power::device_model(Device::kPixel3),
+                               MpcObjective::kMaxQoE),
+                 std::invalid_argument)
+        << "variation " << bad;
+    config = default_config();
+    config.weights.rebuffer = bad;
+    EXPECT_THROW(MpcController(config, power::device_model(Device::kPixel3),
+                               MpcObjective::kMinEnergyQoEConstrained),
+                 std::invalid_argument)
+        << "rebuffer " << bad;
+  }
+  MpcConfig zero = default_config();
+  zero.weights.variation = 0.0;
+  zero.weights.rebuffer = 0.0;
+  EXPECT_NO_THROW(MpcController(zero, power::device_model(Device::kPixel3),
+                                MpcObjective::kMaxQoE));
+}
 
 TEST(MpcValidationTest, ConfigValidation) {
   MpcConfig config = default_config();

@@ -307,11 +307,13 @@ std::vector<SegmentChoices> fixed_horizon(std::size_t h, std::size_t options_n,
 TEST(ScratchGrowAccounting, FirstDecideCountsEveryVectorThatGrows) {
   // Each vector that grows within one decide() is its own growth event. The
   // arena has 11 vectors on the energy path (5 per-option/per-bucket
-  // invariants + 6 frontier; its sparse sweep computes transitions inline)
-  // and 15 on the kMaxQoE path (the same 11 plus the two per-step transition
-  // tables and their two memo-key vectors), all growing from empty on the
-  // first call — so the first-call count is pinned exactly, not just
-  // "positive". A lumped per-call counter would report 1 here.
+  // invariants + 6 frontier) and 15 on the kMaxQoE path (the same 11 plus
+  // the four compacted live-state arrays of one bucket row — cost, Qo, root,
+  // stall — which replaced the per-step transition tables and their memo
+  // keys when both sweeps began computing transitions inline). All grow
+  // from empty on the first call, so the first-call count is pinned
+  // exactly, not just "positive". A lumped per-call counter would report 1
+  // here.
   const MpcConfig config;
   const power::DeviceModel& device = power::device_model(Device::kPixel3);
   const auto horizon = fixed_horizon(5, 8, 3);
@@ -347,50 +349,6 @@ TEST(ScratchGrowAccounting, SteadyStateIsZeroAndDeeperHorizonGrowsPerSegmentVect
   const auto h10 = fixed_horizon(10, 8, 3);
   (void)controller.decide(h10, util::BytesPerSec(5e5), util::Seconds(2.5), 50.0);
   EXPECT_EQ(controller.scratch_grow_events(), after_warm + 4u);
-}
-
-TEST(ScratchGrowAccounting, TransitionTableMemoSkipsRepeatFills) {
-  // The kMaxQoE per-step transition tables are memoized on exact input
-  // bits, so an identical decide() refills nothing, and changing the
-  // bandwidth (which changes every download-time row) refills everything.
-  // The decide ≡ decide_exhaustive and plan-cache differentials pin that
-  // skipping the fill never changes a decision. kMaxQoE is the memo's only
-  // user: the energy objective computes its transitions inline.
-  const MpcConfig config;
-  const power::DeviceModel& device = power::device_model(Device::kPixel3);
-  const MpcController controller(config, device, MpcObjective::kMaxQoE);
-  const auto horizon = fixed_horizon(5, 8, 3);
-
-  (void)controller.decide(horizon, util::BytesPerSec(5e5), util::Seconds(2.5), 50.0);
-  const std::uint64_t fills_warm = controller.scratch_table_fills();
-  const std::uint64_t hits_warm = controller.scratch_table_fill_hits();
-  EXPECT_GE(fills_warm, 1u);
-
-  // Identical solves: every step's fingerprint matches, zero new fills.
-  for (int rep = 0; rep < 3; ++rep)
-    (void)controller.decide(horizon, util::BytesPerSec(5e5), util::Seconds(2.5), 50.0);
-  EXPECT_EQ(controller.scratch_table_fills(), fills_warm);
-  EXPECT_GT(controller.scratch_table_fill_hits(), hits_warm);
-
-  // A new bandwidth estimate perturbs every download row bit-exactly: all
-  // visited slots must refill rather than reuse stale tables.
-  (void)controller.decide(horizon, util::BytesPerSec(4e5), util::Seconds(2.5), 50.0);
-  EXPECT_GT(controller.scratch_table_fills(), fills_warm);
-
-  // A hopeless horizon has no strict pass in kMaxQoE, so its second solve
-  // is what hits: the repeat reuses at least the slot the first one filled.
-  const MpcController fallback(config, device, MpcObjective::kMaxQoE);
-  (void)fallback.decide(horizon, util::BytesPerSec(1e3), util::Seconds(0.0), 50.0);
-  (void)fallback.decide(horizon, util::BytesPerSec(1e3), util::Seconds(0.0), 50.0);
-  EXPECT_GE(fallback.scratch_table_fill_hits(), 1u);
-
-  // The energy objective never fills a table.
-  const MpcController energy(config, device,
-                             MpcObjective::kMinEnergyQoEConstrained);
-  (void)energy.decide(horizon, util::BytesPerSec(5e5), util::Seconds(2.5), 50.0);
-  (void)energy.decide(horizon, util::BytesPerSec(1e3), util::Seconds(0.0), 50.0);
-  EXPECT_EQ(energy.scratch_table_fills(), 0u);
-  EXPECT_EQ(energy.scratch_table_fill_hits(), 0u);
 }
 
 // -------------------------------------------- session/fleet differential

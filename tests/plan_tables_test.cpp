@@ -155,8 +155,18 @@ TEST(ManifestTest, TabulatesOnlyWhatTheNeedsName) {
   video::EncodingConfig other = model.config();
   other.seed += 1;
   EXPECT_FALSE(ctile.matches(workload, other, manifest_needs(SchemeKind::kCtile)));
+  // The Ghosh per-tile table is its own need: a Ctile manifest lacks it, and
+  // a Ghosh manifest has it but no role table.
+  EXPECT_THROW((void)ctile.ghosh_tile_bytes(0, 3, 0, 0.03, 1.0), std::logic_error);
+  EXPECT_FALSE(ctile.matches(workload, model.config(), manifest_needs(SchemeKind::kGhoshLp)));
+  const EncodingManifest ghosh(workload, model, manifest_needs(SchemeKind::kGhoshRobust));
+  EXPECT_NO_THROW((void)ghosh.ghosh_tile_bytes(0, 3, kGhoshTileIds - 1, 0.03, 1.0));
+  EXPECT_THROW((void)ghosh.noise(0, 3, full_rate, kRoleCtileFov), std::logic_error);
+  EXPECT_TRUE(ghosh.matches(workload, model.config(), manifest_needs(SchemeKind::kGhoshLp)));
+  EXPECT_FALSE(ghosh.matches(workload, model.config(), manifest_needs(SchemeKind::kCtile)));
   // Every registered scheme's needs are covered by the all-roles manifest.
   const EncodingManifest all(workload, model, ManifestNeeds::all());
+  EXPECT_TRUE(ManifestNeeds::all().ghosh_tiles);
   for (SchemeKind kind : registered_schemes())
     EXPECT_TRUE(all.matches(workload, model.config(), manifest_needs(kind)));
 }

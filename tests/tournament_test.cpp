@@ -151,6 +151,23 @@ TEST(ControllerRegistryTest, UnknownKindOrNameThrows) {
 
 // ---------------------------------------------------------- lp_allocate
 
+// lp_allocate on per-tile level ladders of one common length, flattened
+// tile-major as its signature takes them.
+LpAllocation allocate(const std::vector<double>& weights,
+                      const std::vector<std::vector<double>>& bytes,
+                      const std::vector<std::vector<double>>& utility, double budget) {
+  const std::size_t levels = bytes.empty() ? 1 : bytes.front().size();
+  std::vector<double> flat_bytes;
+  std::vector<double> flat_utility;
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    EXPECT_EQ(bytes[i].size(), levels);
+    EXPECT_EQ(utility[i].size(), levels);
+    flat_bytes.insert(flat_bytes.end(), bytes[i].begin(), bytes[i].end());
+    flat_utility.insert(flat_utility.end(), utility[i].begin(), utility[i].end());
+  }
+  return lp_allocate(weights, flat_bytes, flat_utility, levels, util::Bytes(budget));
+}
+
 // Exhaustive search over all level combinations (tiny fixtures only).
 double exhaustive_best_utility(const std::vector<double>& weights,
                                const std::vector<std::vector<double>>& bytes,
@@ -182,7 +199,7 @@ TEST(LpAllocateTest, HandComputedFixture) {
   const std::vector<double> weights = {1.0, 2.0, 0.5};
   const std::vector<std::vector<double>> bytes = {{1, 3, 6}, {1, 3, 6}, {1, 3, 6}};
   const std::vector<std::vector<double>> utility = {{0, 10, 16}, {0, 10, 16}, {0, 10, 16}};
-  const LpAllocation alloc = lp_allocate(weights, bytes, utility, util::Bytes(10.0));
+  const LpAllocation alloc = allocate(weights, bytes, utility, 10.0);
   EXPECT_TRUE(alloc.feasible);
   EXPECT_EQ(alloc.level, (std::vector<int>{1, 2, 0}));
   EXPECT_DOUBLE_EQ(alloc.utility, 1.0 * 10 + 2.0 * 16 + 0.5 * 0);
@@ -198,7 +215,7 @@ TEST(LpAllocateTest, MatchesExhaustiveSearchAcrossBudgets) {
   const std::vector<std::vector<double>> utility = {
       {0, 9, 15, 18}, {0, 8, 13, 15}, {0, 10, 17, 21}};
   for (double budget = 6.0; budget <= 62.0; budget += 1.0) {
-    const LpAllocation alloc = lp_allocate(weights, bytes, utility, util::Bytes(budget));
+    const LpAllocation alloc = allocate(weights, bytes, utility, budget);
     ASSERT_TRUE(alloc.feasible) << "budget " << budget;
     const double best = exhaustive_best_utility(weights, bytes, utility, budget);
     EXPECT_NEAR(alloc.utility, best, 1e-9) << "budget " << budget;
@@ -210,7 +227,7 @@ TEST(LpAllocateTest, InfeasibleFloorStaysAtFloor) {
   const std::vector<double> weights = {1.0, 1.0};
   const std::vector<std::vector<double>> bytes = {{5, 9}, {5, 9}};
   const std::vector<std::vector<double>> utility = {{0, 4}, {0, 4}};
-  const LpAllocation alloc = lp_allocate(weights, bytes, utility, util::Bytes(7.0));
+  const LpAllocation alloc = allocate(weights, bytes, utility, 7.0);
   EXPECT_FALSE(alloc.feasible);
   EXPECT_EQ(alloc.level, (std::vector<int>{0, 0}));
   EXPECT_DOUBLE_EQ(alloc.spent, 10.0);
@@ -221,7 +238,7 @@ TEST(LpAllocateTest, TiesBreakTowardLowerTileIndex) {
   const std::vector<double> weights = {1.0, 1.0};
   const std::vector<std::vector<double>> bytes = {{1, 3}, {1, 3}};
   const std::vector<std::vector<double>> utility = {{0, 5}, {0, 5}};
-  const LpAllocation alloc = lp_allocate(weights, bytes, utility, util::Bytes(4.0));
+  const LpAllocation alloc = allocate(weights, bytes, utility, 4.0);
   EXPECT_EQ(alloc.level, (std::vector<int>{1, 0}));
 }
 
@@ -231,7 +248,7 @@ TEST(LpAllocateTest, FreeUpgradesAlwaysTaken) {
   const std::vector<double> weights = {1.0};
   const std::vector<std::vector<double>> bytes = {{4, 3}};
   const std::vector<std::vector<double>> utility = {{0, 2}};
-  const LpAllocation alloc = lp_allocate(weights, bytes, utility, util::Bytes(4.0));
+  const LpAllocation alloc = allocate(weights, bytes, utility, 4.0);
   EXPECT_EQ(alloc.level, (std::vector<int>{1}));
   EXPECT_DOUBLE_EQ(alloc.spent, 3.0);
 }
